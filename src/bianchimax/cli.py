@@ -1,8 +1,14 @@
 """Command-line front end with stable JSON input and output.
 
 Matrices and orthogonal maps travel as JSON (see serialize); diagnostics go
-to stderr.  Exit code 0 covers both successful results and negative
-membership answers; any error exits nonzero.
+to stderr.  Exit codes:
+
+* 0: a successful result, including a negative membership answer;
+* 1: an error in the input or a failed `verify` suite, named in the
+  {"error": ...} payload;
+* 2: invalid command-line arguments (reported by argparse);
+* 3: an internal self-check failed, which is a bug in the library; the
+  payload is {"error": "internal self-check failed: ..."}.
 """
 
 from __future__ import annotations
@@ -27,19 +33,22 @@ from .serialize import matrix_from_json, matrix_to_json, orthomap_from_json, ort
 from .verify import run_suites
 
 
+EXIT_CODES = {"error": 1, "internal_error": 3}
+
+
 @dataclass
 class CommandResult:
-    status: str  # "ok" | "member_no" | "error"
+    status: str  # "ok" | "member_no" | "error" | "internal_error"
     payload: Any
     diagnostics: list[str] = dataclass_field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
-        return 1 if self.status == "error" else 0
+        return EXIT_CODES.get(self.status, 0)
 
 
-def _error(message: str) -> CommandResult:
-    return CommandResult(status="error", payload={"error": message}, diagnostics=[message])
+def _error(message: str, status: str = "error") -> CommandResult:
+    return CommandResult(status=status, payload={"error": message}, diagnostics=[message])
 
 
 def _read_json(args: argparse.Namespace) -> Any:
@@ -173,6 +182,8 @@ def main(argv: list[str] | None = None) -> int:
         result: CommandResult = args.func(args)
     except (ValueError, ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
         result = _error(str(exc))
+    except AssertionError as exc:
+        result = _error(f"internal self-check failed: {exc}", status="internal_error")
     print(json.dumps(result.payload, sort_keys=True))
     for line in result.diagnostics:
         print(line, file=sys.stderr)

@@ -82,6 +82,15 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def theta_product(t: int, n: int, a1: int, b1: int, a2: int, b2: int) -> tuple[int, int]:
+    """(a1 + b1*theta)(a2 + b2*theta) in {1, theta}-coordinates.
+
+    theta satisfies theta**2 = t*theta - n with t its trace and n its norm.
+    """
+    bb = b1 * b2
+    return a1 * a2 - n * bb, a1 * b2 + b1 * a2 + t * bb
+
+
 _RationalLike = int | Fraction
 
 

@@ -3,98 +3,151 @@
 Every element is kept in a canonical form (f, A): f is the positive squarefree
 part of d and A = M / sqrt(d/f) has entries in K with det A = f.  Squarefree
 parts of positive integers are unique, so two values represent the same
-complex matrix exactly when their canonical forms coincide; equality, coset
-labels and integrality tests all become componentwise checks.
+complex matrix exactly when their canonical forms coincide.
+
+A itself is stored as (g, C): C holds the eight integer {1, theta}-coordinates
+of g*A, row-major, and g >= 1 is the least integer that makes g*A integral.
+The triple (f, g, C) is as unique as (f, A), so equality, hashing, coset
+labels and integrality tests are componentwise integer checks, and products,
+inverses and negation run on Python ints.  The entries of A as K-elements
+are derived views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .field import KElement, repeated_prime, squarefree_part
+from .field import KElement, field_params, repeated_prime, squarefree_part, theta_product
 
 Rows = tuple[tuple[KElement, KElement], tuple[KElement, KElement]]
+Coords = tuple[int, int, int, int, int, int, int, int]
+
+
+def _scaled_coords(rows: Sequence[Sequence[KElement]]) -> tuple[int, int, Coords]:
+    """(m, g, C) for a 2x2 matrix A over one field: g is the least positive
+    integer making g*A integral and C the theta-coordinates of g*A."""
+    (a, b), (c, d) = rows
+    m = a.m
+    coords: list[Fraction] = []
+    for entry in (a, b, c, d):
+        if entry.m != m:
+            raise ValueError(f"mixed fields: m={m} vs m={entry.m}")
+        coords += entry.theta_coords()
+    g = lcm(*(q.denominator for q in coords))
+    return m, g, tuple(q.numerator * (g // q.denominator) for q in coords)  # type: ignore[return-value]
+
+
+def _det_coords(t: int, n: int, c: Coords) -> tuple[int, int]:
+    """Theta-coordinates of the determinant of the matrix with coordinates c."""
+    p0, p1 = theta_product(t, n, c[0], c[1], c[6], c[7])
+    q0, q1 = theta_product(t, n, c[2], c[3], c[4], c[5])
+    return p0 - q0, p1 - q1
+
+
+def _product_coords(t: int, n: int, x: Coords, y: Coords) -> Coords:
+    """Coordinates of the product of the matrices with coordinates x and y."""
+    out: list[int] = []
+    for i in (0, 4):
+        for j in (0, 2):
+            p0, p1 = theta_product(t, n, x[i], x[i + 1], y[j], y[j + 1])
+            q0, q1 = theta_product(t, n, x[i + 2], x[i + 3], y[j + 4], y[j + 5])
+            out += (p0 + q0, p1 + q1)
+    return tuple(out)  # type: ignore[return-value]
 
 
 class ExtendedMatrix:
-    """(1/sqrt(f)) * A with f squarefree positive and A over K, det A = f."""
+    """(1/sqrt(f)) * A with f squarefree positive and A over K, det A = f.
 
-    __slots__ = ("m", "f", "_a")
+    A is held as g*A = C: `g` is the least positive integer making g*A
+    integral and `coords` the theta-coordinates of C, row-major.
+    """
+
+    __slots__ = ("m", "f", "g", "coords")
 
     def __init__(self, f: int, rows: Sequence[Sequence[KElement]]) -> None:
-        (a, b), (c, d) = rows
-        m = a.m
-        for entry in (b, c, d):
-            if entry.m != m:
-                raise ValueError(f"mixed fields: m={m} vs m={entry.m}")
+        m, g, coords = _scaled_coords(rows)
         if f <= 0:
             raise ValueError(f"denominator part must be positive, got {f}")
         p = repeated_prime(f)
         if p is not None:
             raise ValueError(f"denominator part must be squarefree, {p}**2 divides {f}")
-        det = a * d - b * c
-        if det != f:
-            raise ValueError(f"det A = {det} but the canonical form requires det A = {f}")
+        params = field_params(m)
+        det = _det_coords(params.theta_trace, params.theta_norm, coords)
+        if det != (g * g * f, 0):
+            det_a = params.from_theta_coords(Fraction(det[0], g * g), Fraction(det[1], g * g))
+            raise ValueError(f"det A = {det_a} but the canonical form requires det A = {f}")
+        self._set(m, f, g, coords)
+
+    def _set(self, m: int, f: int, g: int, coords: Coords) -> None:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "_a", (a, b, c, d))
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "coords", coords)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("ExtendedMatrix is immutable")
 
     @classmethod
-    def _raw(cls, m: int, f: int, entries: tuple[KElement, ...]) -> "ExtendedMatrix":
+    def _raw(cls, m: int, f: int, g: int, coords: Coords) -> "ExtendedMatrix":
         mat = object.__new__(cls)
-        object.__setattr__(mat, "m", m)
-        object.__setattr__(mat, "f", f)
-        object.__setattr__(mat, "_a", entries)
+        mat._set(m, f, g, coords)
         return mat
+
+    @classmethod
+    def _reduced(cls, m: int, f: int, g: int, coords: Coords) -> "ExtendedMatrix":
+        """The element with g*A = C, after cancelling common factors of g and C."""
+        common = gcd(g, *coords)
+        if common > 1:
+            g //= common
+            coords = tuple(x // common for x in coords)  # type: ignore[assignment]
+        return cls._raw(m, f, g, coords)
 
     @classmethod
     def from_integral(cls, d: int, rows: Sequence[Sequence[KElement]]) -> "ExtendedMatrix":
         """Canonicalize (1/sqrt(d))*M for an integral matrix M with det M = d."""
         if d <= 0:
             raise ValueError(f"d must be a positive integer, got {d}")
-        (a, b), (c, d22) = rows
-        for entry in (a, b, c, d22):
-            if not entry.is_integral():
-                raise ValueError(f"matrix entry {entry} is not integral")
-        det = a * d22 - b * c
-        if det != d:
-            raise ValueError(f"det M = {det} does not match d = {d}")
+        m, scale, coords = _scaled_coords(rows)
+        if scale != 1:
+            entry = next(z for row in rows for z in row if not z.is_integral())
+            raise ValueError(f"matrix entry {entry} is not integral")
+        params = field_params(m)
+        det = _det_coords(params.theta_trace, params.theta_norm, coords)
+        if det != (d, 0):
+            raise ValueError(f"det M = {params.from_theta_coords(*det)} does not match d = {d}")
         f = squarefree_part(d)
-        g = isqrt(d // f)
-        if g == 1:
-            return cls(f, rows)
-        return cls(f, ((a / g, b / g), (c / g, d22 / g)))
+        return cls._reduced(m, f, isqrt(d // f), coords)
 
     @classmethod
     def identity(cls, m: int) -> "ExtendedMatrix":
-        one = KElement(m, 1, 0)
-        zero = KElement(m, 0, 0)
-        return cls._raw(m, 1, (one, zero, zero, one))
+        return cls._raw(m, 1, 1, (1, 0, 0, 0, 0, 0, 1, 0))
 
     @property
     def rows(self) -> Rows:
-        a, b, c, d = self._a
+        a, b, c, d = self.entries
         return ((a, b), (c, d))
 
     @property
     def entries(self) -> tuple[KElement, KElement, KElement, KElement]:
-        return self._a
+        params = field_params(self.m)
+        g, c = self.g, self.coords
+        return tuple(  # type: ignore[return-value]
+            params.from_theta_coords(Fraction(c[i], g), Fraction(c[i + 1], g))
+            for i in range(0, 8, 2)
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExtendedMatrix):
             return NotImplemented
-        return self.m == other.m and self.f == other.f and self._a == other._a
+        return (self.m, self.f, self.g, self.coords) == (other.m, other.f, other.g, other.coords)
 
     def __hash__(self) -> int:
-        return hash((self.m, self.f, self._a))
+        return hash((self.m, self.f, self.g, self.coords))
 
     def __repr__(self) -> str:
-        a, b, c, d = self._a
+        a, b, c, d = self.entries
         return f"ExtendedMatrix(m={self.m}, f={self.f}, [[{a}, {b}], [{c}, {d}]])"
 
     def __mul__(self, other: object) -> "ExtendedMatrix":
@@ -102,39 +155,37 @@ class ExtendedMatrix:
             return NotImplemented
         if other.m != self.m:
             raise ValueError(f"mixed fields: m={self.m} vs m={other.m}")
-        a, b, c, d = self._a
-        e, f_, g_, h = other._a
-        prod = (a * e + b * g_, a * f_ + b * h, c * e + d * g_, c * f_ + d * h)
+        params = field_params(self.m)
+        prod = _product_coords(params.theta_trace, params.theta_norm, self.coords, other.coords)
+        # (1/sqrt(f1))A1 * (1/sqrt(f2))A2 = (1/sqrt(f))(A1*A2/common) with
+        # f = f1*f2/common**2, so the scale of A1*A2/common is g1*g2*common.
         common = gcd(self.f, other.f)
         new_f = (self.f * other.f) // (common * common)
-        if common == 1:
-            return ExtendedMatrix._raw(self.m, new_f, prod)
-        return ExtendedMatrix._raw(self.m, new_f, tuple(z / common for z in prod))
+        return ExtendedMatrix._reduced(self.m, new_f, self.g * other.g * common, prod)
 
     def inverse(self) -> "ExtendedMatrix":
-        a, b, c, d = self._a
-        return ExtendedMatrix._raw(self.m, self.f, (d, -b, -c, a))
+        a0, a1, b0, b1, c0, c1, d0, d1 = self.coords
+        return ExtendedMatrix._raw(self.m, self.f, self.g, (d0, d1, -b0, -b1, -c0, -c1, a0, a1))
 
     def __neg__(self) -> "ExtendedMatrix":
-        return ExtendedMatrix._raw(self.m, self.f, tuple(-z for z in self._a))
+        return ExtendedMatrix._raw(
+            self.m, self.f, self.g, tuple(-x for x in self.coords)  # type: ignore[arg-type]
+        )
 
     def is_integral(self) -> bool:
         """Membership in SL2 of the ring of integers: f = 1 and integral entries."""
-        return self.f == 1 and all(z.is_integral() for z in self._a)
+        return self.f == 1 and self.g == 1
 
     def denominator_scale(self) -> int:
         """Least g > 0 such that g*A is integral."""
-        scale = 1
-        for z in self._a:
-            a, b = z.theta_coords()
-            scale = scale * a.denominator // gcd(scale, a.denominator)
-            scale = scale * b.denominator // gcd(scale, b.denominator)
-        return scale
+        return self.g
 
     def integral_representative(self) -> tuple[int, tuple[KElement, ...]]:
         """(d, entries of M) with M = g*A integral and det M = d = g*g*f minimal."""
-        g = self.denominator_scale()
-        return g * g * self.f, tuple(z * g for z in self._a)
+        params = field_params(self.m)
+        c = self.coords
+        entries = tuple(params.from_theta_coords(c[i], c[i + 1]) for i in range(0, 8, 2))
+        return self.g * self.g * self.f, entries
 
 
 def min_poly_over_q(z: KElement, f: int) -> list[Fraction]:

@@ -16,7 +16,6 @@ and the exact inverse (lift) of the homomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
@@ -27,6 +26,7 @@ from .field import (
     field_params,
     fraction_square_root,
     squarefree_part,
+    theta_product,
 )
 from .matrices import ExtendedMatrix
 
@@ -118,18 +118,6 @@ def gram_matrix(m: int) -> Mat4:
     )
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
-    """The fixed basis together with its Gram matrix."""
-
-    vectors: tuple[HermitianK, ...]
-    gram: Mat4
-
-    @classmethod
-    def for_field(cls, params: FieldParams) -> "LatticeBasis":
-        return cls(vectors=hermitian_basis(params), gram=gram_matrix(params.m))
-
-
 def _mat_mul(a: Mat4, b: Mat4) -> Mat4:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
@@ -204,6 +192,14 @@ class OrthoMap:
         raise AttributeError("OrthoMap is immutable")
 
     @classmethod
+    def _raw(cls, m: int, rows: Mat4) -> "OrthoMap":
+        """Wrap rows that are already a 4x4 tuple of Fractions, unchecked."""
+        phi = object.__new__(cls)
+        object.__setattr__(phi, "m", m)
+        object.__setattr__(phi, "rows", rows)
+        return phi
+
+    @classmethod
     def identity(cls, m: int) -> "OrthoMap":
         return cls(m, _identity4())
 
@@ -252,34 +248,62 @@ class OrthoMap:
         return all(x.denominator == 1 for row in self.rows for x in row)
 
 
-def _conjugate_hermitian(mat: ExtendedMatrix, h: HermitianK) -> HermitianK:
-    """A H conj(A)^tr / f for mat = (1/sqrt(f))A, exact over K."""
-    a, b, c, d = mat.entries
-    params = field_params(mat.m)
-    # Rows of H as K-elements: [[s1, s], [conj(s), s2]].
-    h11, h12, h21, h22 = params.element(h.s1, 0), h.s, h.s.conjugate(), params.element(h.s2, 0)
-    # First M*H, then times conj(M)^tr.
-    p11, p12 = a * h11 + b * h21, a * h12 + b * h22
-    p21, p22 = c * h11 + d * h21, c * h12 + d * h22
-    r11 = p11 * a.conjugate() + p12 * b.conjugate()
-    r12 = p11 * c.conjugate() + p12 * d.conjugate()
-    r22 = p21 * c.conjugate() + p22 * d.conjugate()
-    if r11.y != 0 or r22.y != 0:
-        raise AssertionError("conjugated Hermitian matrix has non-real diagonal")
-    f = mat.f
-    return HermitianK(r11.x / f, r22.x / f, r12 / f)
-
-
 def spin_map(mat: ExtendedMatrix) -> OrthoMap:
     """The orthogonal action H -> M H conj(M)^tr of M on the fixed basis.
 
-    Columns are the coordinates of the images of H1..H4; the sqrt(f) of the
-    canonical form cancels, so all entries are exact rationals.
+    For M = (1/sqrt(f))*A the sqrt(f) cancels.  Writing A = [[alpha, beta],
+    [gamma, delta]] and a Hermitian matrix as (s1, s2, s), f times the images
+    of the basis are
+
+        H1 -> (N alpha, N gamma, alpha*conj(gamma)),
+        H2 -> (N beta, N delta, beta*conj(delta)),
+        H3 -> (Tr alpha*conj(beta), Tr gamma*conj(delta),
+               beta*conj(gamma) + alpha*conj(delta)),
+        H4 -> (Tr theta*alpha*conj(beta), Tr theta*gamma*conj(delta),
+               conj(theta)*beta*conj(gamma) + theta*alpha*conj(delta)).
+
+    These are quadratic in A, so they are evaluated on the integer
+    coordinates of g*A and divided by f*g**2 once.  Columns of the result
+    are the coordinates of the images of H1..H4.
     """
     params = field_params(mat.m)
-    cols = [_conjugate_hermitian(mat, h).coords() for h in hermitian_basis(params)]
-    rows = tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
-    return OrthoMap(mat.m, rows)  # type: ignore[arg-type]
+    t, n = params.theta_trace, params.theta_norm
+    a0, a1, b0, b1, c0, c1, d0, d1 = mat.coords
+
+    def norm(x0: int, x1: int) -> int:
+        return x0 * x0 + t * x0 * x1 + n * x1 * x1
+
+    def trace(x: tuple[int, int]) -> int:
+        return 2 * x[0] + t * x[1]
+
+    def times_conj(x0: int, x1: int, y0: int, y1: int) -> tuple[int, int]:
+        # conj(y0 + y1*theta) = (y0 + t*y1) - y1*theta
+        return theta_product(t, n, x0, x1, y0 + t * y1, -y1)
+
+    a_cbar = times_conj(a0, a1, c0, c1)
+    b_dbar = times_conj(b0, b1, d0, d1)
+    a_bbar = times_conj(a0, a1, b0, b1)
+    c_dbar = times_conj(c0, c1, d0, d1)
+    b_cbar = times_conj(b0, b1, c0, c1)
+    a_dbar = times_conj(a0, a1, d0, d1)
+    theta_a_bbar = theta_product(t, n, 0, 1, *a_bbar)
+    theta_c_dbar = theta_product(t, n, 0, 1, *c_dbar)
+    theta_a_dbar = theta_product(t, n, 0, 1, *a_dbar)
+    thetabar_b_cbar = theta_product(t, n, t, -1, *b_cbar)
+    cols = (
+        (norm(a0, a1), norm(c0, c1)) + a_cbar,
+        (norm(b0, b1), norm(d0, d1)) + b_dbar,
+        (trace(a_bbar), trace(c_dbar), b_cbar[0] + a_dbar[0], b_cbar[1] + a_dbar[1]),
+        (
+            trace(theta_a_bbar),
+            trace(theta_c_dbar),
+            thetabar_b_cbar[0] + theta_a_dbar[0],
+            thetabar_b_cbar[1] + theta_a_dbar[1],
+        ),
+    )
+    den = mat.f * mat.g * mat.g
+    rows = tuple(tuple(Fraction(col[i], den) for col in cols) for i in range(4))
+    return OrthoMap._raw(mat.m, rows)  # type: ignore[arg-type]
 
 
 def preserves_lattice(phi_map: OrthoMap) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from random import Random
 from typing import Iterator
 
-from .field import FieldParams, KElement, units_of
+from .field import FieldParams, KElement, theta_product, units_of
 from .involutions import atkin_lehner
 from .matrices import ExtendedMatrix
 
@@ -91,13 +91,7 @@ def _coordinate_products(params: FieldParams, height: int) -> tuple[list[Coord],
     span = range(-height, height + 1)
     entries = [(a, b) for a in span for b in span]
     t, n = params.theta_trace, params.theta_norm
-    table: list[list[Coord]] = []
-    for a1, b1 in entries:
-        row: list[Coord] = []
-        for a2, b2 in entries:
-            # (a1 + b1*theta)(a2 + b2*theta) with theta**2 = t*theta - n
-            row.append((a1 * a2 - n * b1 * b2, a1 * b2 + b1 * a2 + t * b1 * b2))
-        table.append(row)
+    table = [[theta_product(t, n, a1, b1, a2, b2) for a2, b2 in entries] for a1, b1 in entries]
     return entries, table
 
 

@@ -1,12 +1,15 @@
 """Bit-exact JSON forms for field elements, matrices and orthogonal maps.
 
-Rationals are strings "p/q" in lowest terms with q > 0, plain "p" for
-integers; a field element is a pair [x, y] meaning x + y*sqrt(-m); matrices
-are row-major.  parse(print(value)) == value holds exactly.
+Rationals are strings "p/q" in lowest terms with q > 1, or plain "p" for
+integers, each with an optional leading "-"; no other spelling is accepted.
+A field element is a pair [x, y] meaning x + y*sqrt(-m); matrices are
+row-major; "m" and "f" are JSON integers, never booleans.
+parse(print(value)) == value holds exactly.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -19,14 +22,31 @@ def fraction_to_str(q: Fraction) -> str:
     return str(q)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def fraction_from_str(text: str) -> Fraction:
-    if not isinstance(text, str):
-        raise ValueError(f"expected a rational string, got {text!r}")
+    """Parse the canonical form "p" or "p/q" and reject every other spelling.
+
+    The grammar check runs before Fraction sees the text, so exponents,
+    decimals, a plus sign, spaces and underscores never reach it; the round
+    trip through str then rejects leading zeros, "-0", "3/1" and fractions
+    not in lowest terms.
+    """
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
+        raise ValueError(f"invalid rational string {text!r}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"invalid rational string {text!r}") from exc
+    if str(value) != text:
+        raise ValueError(f"rational string {text!r} is not canonical, expected {str(value)!r}")
     return value
+
+
+def _is_int(value: Any) -> bool:
+    """JSON integers only: bool is an int subclass, but true is not 1 here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def kelement_to_json(z: KElement) -> list[str]:
@@ -56,7 +76,7 @@ def matrix_from_json(obj: Any) -> ExtendedMatrix:
         if key not in obj:
             raise ValueError(f"matrix JSON is missing key {key!r}")
     m, f, rows = obj["m"], obj["f"], obj["A"]
-    if not isinstance(m, int) or not isinstance(f, int):
+    if not _is_int(m) or not _is_int(f):
         raise ValueError("matrix JSON keys 'm' and 'f' must be integers")
     field_params(m)  # validates m
     if not isinstance(rows, list) or len(rows) != 2 or any(
@@ -81,7 +101,7 @@ def orthomap_from_json(obj: Any) -> OrthoMap:
         if key not in obj:
             raise ValueError(f"orthogonal map JSON is missing key {key!r}")
     m, flat = obj["m"], obj["P"]
-    if not isinstance(m, int):
+    if not _is_int(m):
         raise ValueError("orthogonal map JSON key 'm' must be an integer")
     field_params(m)
     if not isinstance(flat, list) or len(flat) != 16:
@@ -107,7 +127,7 @@ def hermitian_from_json(obj: Any) -> HermitianK:
         if key not in obj:
             raise ValueError(f"Hermitian JSON is missing key {key!r}")
     m = obj["m"]
-    if not isinstance(m, int):
+    if not _is_int(m):
         raise ValueError("Hermitian JSON key 'm' must be an integer")
     field_params(m)
     return HermitianK(

@@ -184,8 +184,8 @@ def suite_matrices_canonical(ctx: _Context) -> SuiteResult:
             p * p.inverse() == ExtendedMatrix.identity(ctx.m),
             lambda p=p: f"inverse law failed for {p!r}",
         )
-        det_check = p.entries[0] * p.entries[3] - p.entries[1] * p.entries[2]
-        res.check(det_check == p.f, lambda p=p: f"det A != f for {p!r}")
+        a, b, c, d = p.entries
+        res.check(a * d - b * c == p.f, lambda p=p: f"det A != f for {p!r}")
     return res
 
 

@@ -80,6 +80,31 @@ class TestClassify:
         assert code == 1
         assert "det" in json.loads(out)["error"]
 
+    def test_bool_m_is_an_error_not_a_member(self, capsys, monkeypatch):
+        obj = matrix_to_json(atkin_lehner(field_params(1), 1))
+        obj["m"] = True
+        code, out, _ = run_cli(capsys, monkeypatch, ["classify"], json.dumps(obj))
+        assert code == 1
+        assert "integers" in json.loads(out)["error"]
+
+    def test_non_canonical_rational_is_an_error(self, capsys, monkeypatch):
+        text = json.dumps(matrix_to_json(atkin_lehner(field_params(1), 1)))
+        code, out, _ = run_cli(capsys, monkeypatch, ["classify"], text.replace('"1"', '"1e0"'))
+        assert code == 1
+        assert "rational" in json.loads(out)["error"]
+
+    def test_failed_self_check_exits_3_without_traceback(self, capsys, monkeypatch):
+        from bianchimax import ExtendedMatrix
+
+        # classify_coset double-checks its label with an integrality test;
+        # force that check to fail.
+        monkeypatch.setattr(ExtendedMatrix, "is_integral", lambda self: False)
+        text = json.dumps(matrix_to_json(atkin_lehner(field_params(1), 2)))
+        code, out, err = run_cli(capsys, monkeypatch, ["classify"], text)
+        assert code == 3
+        assert json.loads(out)["error"].startswith("internal self-check failed: ")
+        assert "Traceback" not in err
+
     def test_file_input(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "mat.json"
         path.write_text(json.dumps(matrix_to_json(atkin_lehner(field_params(5), 5))))

@@ -35,7 +35,26 @@ class TestCanonicalForm:
 
     def test_square_factor_removed(self):
         rows = ((k(1, 2), k(1, 0)), (k(1, 0), k(1, 2)))
-        assert ExtendedMatrix.from_integral(4, rows) == ExtendedMatrix.identity(1)
+        mat = ExtendedMatrix.from_integral(4, rows)
+        assert mat == ExtendedMatrix.identity(1)
+        assert (mat.g, mat.coords) == (1, (1, 0, 0, 0, 0, 0, 1, 0))
+
+    def test_half_integer_coordinates_m3_canonical(self):
+        # theta = (1 + sqrt(-3))/2 has half-integer {1, sqrt(-3)} coordinates
+        # but integral theta-coordinates (0, 1); doubling it leaves a
+        # non-minimal scale that canonicalization must cancel.
+        params = field_params(3)
+        theta, theta_bar = params.theta, params.theta.conjugate()
+        rows = ((theta, k(3, 0)), (k(3, 0), theta_bar))
+        direct = ExtendedMatrix(1, rows)
+        assert (direct.g, direct.coords) == (1, (0, 1, 0, 0, 0, 0, 1, -1))
+        doubled = ExtendedMatrix.from_integral(
+            4, ((theta * 2, k(3, 0)), (k(3, 0), theta_bar * 2))
+        )
+        assert doubled == direct and hash(doubled) == hash(direct)
+        assert (doubled.g, doubled.coords) == (direct.g, direct.coords)
+        halved = ExtendedMatrix(1, ((k(3, 1), theta / 2), (k(3, 0), k(3, 1))))
+        assert (halved.g, halved.coords) == (2, (2, 0, 0, 1, 0, 0, 2, 0))
 
     def test_det_mismatch_raises(self):
         rows = ((k(1, 5), k(1, 2)), (k(1, 2), k(1, 1)))
@@ -70,6 +89,21 @@ class TestCanonicalForm:
                     g * g * d, ((scaled[0], scaled[1]), (scaled[2], scaled[3]))
                 )
                 assert rebuilt == mat
+            # The same element reached through every constructor and group
+            # operation is equal and hashes equal.
+            routes = (
+                ExtendedMatrix(mat.f, mat.rows),
+                mat * ExtendedMatrix.identity(m),
+                ExtendedMatrix.identity(m) * mat,
+                mat.inverse().inverse(),
+                -(-mat),
+                (mat * mat) * mat.inverse(),
+                rebuilt,
+            )
+            for route in routes:
+                assert route == mat
+                assert hash(route) == hash(mat)
+                assert (route.f, route.g, route.coords) == (mat.f, mat.g, mat.coords)
 
 
 class TestGroupOperations:

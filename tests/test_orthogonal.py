@@ -7,7 +7,6 @@ from bianchimax import (
     ExtendedMatrix,
     HermitianK,
     KElement,
-    LatticeBasis,
     LiftError,
     OrthoMap,
     atkin_lehner,
@@ -84,6 +83,26 @@ def signature(gram):
     return pos, neg
 
 
+def conjugate_hermitian(mat, h):
+    """Oracle: A H conj(A)^tr / f for mat = (1/sqrt(f))A, by KElement products."""
+    a, b, c, d = mat.entries
+    params = field_params(mat.m)
+    h11, h12, h21, h22 = params.element(h.s1, 0), h.s, h.s.conjugate(), params.element(h.s2, 0)
+    p11, p12 = a * h11 + b * h21, a * h12 + b * h22
+    p21, p22 = c * h11 + d * h21, c * h12 + d * h22
+    r11 = p11 * a.conjugate() + p12 * b.conjugate()
+    r12 = p11 * c.conjugate() + p12 * d.conjugate()
+    r22 = p21 * c.conjugate() + p22 * d.conjugate()
+    assert r11.y == 0 and r22.y == 0
+    return HermitianK(r11.x / mat.f, r22.x / mat.f, r12 / mat.f)
+
+
+def spin_map_oracle(mat):
+    """spin_map recomputed by conjugating each basis matrix."""
+    cols = [conjugate_hermitian(mat, h).coords() for h in hermitian_basis(field_params(mat.m))]
+    return OrthoMap(mat.m, tuple(tuple(cols[j][i] for j in range(4)) for i in range(4)))
+
+
 def hermitian_as_complex_pair(h):
     """The four entries (h11, h12, h21, h22) as K-elements."""
     m = h.m
@@ -136,12 +155,6 @@ class TestQuadraticForm:
     def test_signature_1_3(self, m):
         assert signature(gram_matrix(m)) == (1, 3)
 
-    def test_lattice_basis_bundle(self):
-        params = field_params(3)
-        basis = LatticeBasis.for_field(params)
-        assert basis.vectors == hermitian_basis(params)
-        assert basis.gram == gram_matrix(3)
-
 
 class TestSpinMap:
     def test_identity(self):
@@ -170,6 +183,21 @@ class TestSpinMap:
             p = random_ambient_element(rng, params)
             q = random_ambient_element(rng, params)
             assert spin_map(p * q) == spin_map(p) * spin_map(q)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7, 10, 11, 15])
+    def test_closed_form_matches_conjugation_oracle(self, m):
+        params = field_params(m)
+        rng = Random(f"oracle:{m}")
+        mats = [random_ambient_element(rng, params) for _ in range(30)]
+        assert any(mat.g > 1 for mat in mats)
+        mats += [
+            random_coset_element(rng, params, d)
+            for d in squarefree_divisors(params.d_K)
+            for _ in range(3)
+        ]
+        mats += [random_zero_corner_element(rng, params, f) for f in (1, 2) for _ in range(3)]
+        for mat in mats:
+            assert spin_map(mat) == spin_map_oracle(mat), mat
 
     @pytest.mark.parametrize("m", [1, 3, 5])
     def test_images_in_special_orthogonal_component(self, m):

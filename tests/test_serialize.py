@@ -39,7 +39,11 @@ class TestRationalStrings:
         assert fraction_from_str(text) == value
 
     def test_bad_strings_raise(self):
-        for bad in ("1/0", "a", "1.5.2", None, 3):
+        non_canonical = (
+            "1e0", "1.0", "1e999999999", "2/4", "3/1", "0/5", "-0", "01", "+1",
+            " 1", "1 ", "1_0", "1/-2", "-1/-2", "\u0661", "1/2\n",
+        )
+        for bad in ("1/0", "a", "1.5.2", None, 3, True) + non_canonical:
             with pytest.raises(ValueError):
                 fraction_from_str(bad)
 
@@ -78,6 +82,21 @@ class TestMatrixJson:
         with pytest.raises(ValueError, match="missing"):
             matrix_from_json({"m": 1, "f": 1})
 
+    @pytest.mark.parametrize("key", ["m", "f"])
+    def test_bool_keys_rejected(self, key):
+        # true == 1 in Python, so a bool would pass as the integer 1
+        obj = matrix_to_json(atkin_lehner(field_params(1), 1))
+        assert obj[key] == 1
+        obj[key] = True
+        with pytest.raises(ValueError, match="integers"):
+            matrix_from_json(obj)
+
+    def test_non_canonical_entry_rejected(self):
+        obj = matrix_to_json(atkin_lehner(field_params(1), 2))
+        obj["A"][0][0][0] = "2.0"
+        with pytest.raises(ValueError, match="rational"):
+            matrix_from_json(obj)
+
     def test_det_validation(self):
         obj = matrix_to_json(atkin_lehner(field_params(1), 2))
         obj["f"] = 1
@@ -110,6 +129,13 @@ class TestOrthoMapJson:
         with pytest.raises(ValueError, match="16"):
             orthomap_from_json({"m": 1, "P": ["1"] * 15})
 
+    def test_bool_m_and_non_canonical_entry_rejected(self):
+        obj = orthomap_to_json(spin_map(atkin_lehner(field_params(1), 2)))
+        with pytest.raises(ValueError, match="integer"):
+            orthomap_from_json(dict(obj, m=True))
+        with pytest.raises(ValueError, match="rational"):
+            orthomap_from_json(dict(obj, P=["1e0"] + obj["P"][1:]))
+
 
 class TestHermitianJson:
     def test_round_trip(self):
@@ -121,3 +147,8 @@ class TestHermitianJson:
     def test_missing_key(self):
         with pytest.raises(ValueError, match="missing"):
             hermitian_from_json({"m": 3, "s1": "1", "s2": "1"})
+
+    def test_bool_m_rejected(self):
+        obj = hermitian_to_json(HermitianK(1, 2, KElement(1, 0, 1)))
+        with pytest.raises(ValueError, match="integer"):
+            hermitian_from_json(dict(obj, m=True))
