@@ -16,15 +16,30 @@ from math import gcd, isqrt
 from typing import Iterable, Sequence
 
 
+_TRIAL_DIVISION_LIMIT = 2**22
+
+
 def prime_factors(n: int) -> dict[int, int]:
-    """Factor |n| by trial division, returning {prime: exponent}."""
+    """Factor |n| by trial division, returning {prime: exponent}.
+
+    Trial division stops past 2**22, so this succeeds when every prime
+    factor is below 2**22 except at most one below 2**44.  A cofactor that
+    would need trial division past 2**22 raises ValueError at once instead
+    of running for hours.
+    """
     n = abs(n)
+    original = n
     factors: dict[int, int] = {}
     while n % 2 == 0:
         factors[2] = factors.get(2, 0) + 1
         n //= 2
     p = 3
     while p * p <= n:
+        if p > _TRIAL_DIVISION_LIMIT:
+            raise ValueError(
+                f"cannot factor {original}: cofactor {n} has no prime factor up to 2**22 "
+                "and is not below 2**44"
+            )
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p

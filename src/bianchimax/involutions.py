@@ -40,11 +40,11 @@ class BezoutPair:
 def _check_divisor(params: FieldParams, d: int) -> None:
     if d <= 0:
         raise ValueError(f"d must be positive, got {d}")
+    if abs(params.d_K) % d != 0:
+        raise ValueError(f"d = {d} does not divide |d_K| = {abs(params.d_K)}")
     p = repeated_prime(d)
     if p is not None:
         raise ValueError(f"d must be squarefree, {p}**2 divides {d}")
-    if abs(params.d_K) % d != 0:
-        raise ValueError(f"d = {d} does not divide |d_K| = {abs(params.d_K)}")
 
 
 def bezout_pair(params: FieldParams, d: int, shift: int = 0) -> BezoutPair:

@@ -176,10 +176,6 @@ class ExtendedMatrix:
         """Membership in SL2 of the ring of integers: f = 1 and integral entries."""
         return self.f == 1 and self.g == 1
 
-    def denominator_scale(self) -> int:
-        """Least g > 0 such that g*A is integral."""
-        return self.g
-
     def integral_representative(self) -> tuple[int, tuple[KElement, ...]]:
         """(d, entries of M) with M = g*A integral and det M = d = g*g*f minimal."""
         params = field_params(self.m)

@@ -118,6 +118,19 @@ def gram_matrix(m: int) -> Mat4:
     )
 
 
+@lru_cache(maxsize=None)
+def _gram_inverse(m: int) -> Mat4:
+    """G^-1, from the inverses of the two diagonal 2x2 blocks of G."""
+    g = gram_matrix(m)
+    inv = [[Fraction(0)] * 4 for _ in range(4)]
+    for i in (0, 2):
+        (a, b), (c, d) = g[i][i:i + 2], g[i + 1][i:i + 2]
+        det = a * d - b * c
+        inv[i][i:i + 2] = d / det, -b / det
+        inv[i + 1][i:i + 2] = -c / det, a / det
+    return tuple(tuple(row) for row in inv)  # type: ignore[return-value]
+
+
 def _mat_mul(a: Mat4, b: Mat4) -> Mat4:
     return tuple(
         tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
@@ -156,24 +169,6 @@ def _det4(a: Mat4) -> Fraction:
             if factor:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return det
-
-
-def _inverse4(a: Mat4) -> Mat4:
-    size = 4
-    rows = [list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(size)]
-            for i, r in enumerate(a)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if pivot is None:
-            raise ZeroDivisionError("matrix is singular")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = 1 / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(size):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(tuple(r[size:]) for r in rows)  # type: ignore[return-value]
 
 
 class OrthoMap:
@@ -222,7 +217,11 @@ class OrthoMap:
         return OrthoMap(self.m, _mat_mul(self.rows, other.rows))
 
     def inverse(self) -> "OrthoMap":
-        return OrthoMap(self.m, _inverse4(self.rows))
+        """G^-1 P^t G, the inverse of a map that preserves the form."""
+        if not self.is_orthogonal():
+            raise ValueError("inverse requires a map that preserves the quadratic form")
+        g_inverse_pt = _mat_mul(_gram_inverse(self.m), _transpose(self.rows))
+        return OrthoMap(self.m, _mat_mul(g_inverse_pt, gram_matrix(self.m)))
 
     def apply_coords(self, v: Vec4) -> Vec4:
         return _mat_vec(self.rows, tuple(Fraction(x) for x in v))
@@ -307,8 +306,12 @@ def spin_map(mat: ExtendedMatrix) -> OrthoMap:
 
 
 def preserves_lattice(phi_map: OrthoMap) -> bool:
-    """Whether the map and its inverse both keep integral coordinates integral."""
-    return phi_map.is_integral() and phi_map.inverse().is_integral()
+    """Whether the map and its inverse both keep integral coordinates integral.
+
+    An integral matrix has an integral inverse exactly when its determinant
+    is a unit, so this is: integral with determinant +-1.
+    """
+    return phi_map.is_integral() and abs(phi_map.determinant()) == 1
 
 
 @lru_cache(maxsize=None)
@@ -336,17 +339,19 @@ def dual_basis(params: FieldParams) -> tuple[HermitianK, ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _dual_coords_inverse(m: int) -> Mat4:
-    cols = [h.coords() for h in dual_basis(field_params(m))]
-    mat = tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
-    return _inverse4(mat)  # type: ignore[arg-type]
-
-
 def in_dual_lattice(h: HermitianK) -> bool:
-    """Membership in the dual lattice: integral diagonal, s in (1/sqrt(d_K))O_K."""
-    v = _mat_vec(_dual_coords_inverse(h.m), h.coords())
-    return all(x.denominator == 1 for x in v)
+    """Membership in the dual lattice: integral diagonal, s in (1/sqrt(d_K))O_K.
+
+    With sqrt(d_K) = k*sqrt(-m), the off-diagonal condition is
+    k*sqrt(-m)*s in O_K, and sqrt(-m)*(x + y*sqrt(-m)) = -m*y + x*sqrt(-m).
+    """
+    m, s = h.m, h.s
+    k = isqrt(abs(field_params(m).d_K) // m)
+    return (
+        h.s1.denominator == 1
+        and h.s2.denominator == 1
+        and KElement(m, -k * m * s.y, k * s.x).is_integral()
+    )
 
 
 def dual_lattice_index(params: FieldParams) -> int:
@@ -368,16 +373,15 @@ def in_discriminant_kernel(phi_map: OrthoMap) -> bool:
     """
     if not preserves_lattice(phi_map):
         raise ValueError("discriminant kernel test requires a lattice-preserving map")
-    params = field_params(phi_map.m)
-    for g in dual_basis(params):
-        moved = phi_map.apply(g)
-        diff = HermitianK(moved.s1 - g.s1, moved.s2 - g.s2, moved.s - g.s)
-        if not diff.is_integral():
+    for g in dual_basis(field_params(phi_map.m)):
+        v = g.coords()
+        moved = phi_map.apply_coords(v)
+        if any((x - y).denominator != 1 for x, y in zip(moved, v)):
             return False
     return True
 
 
-def k_square_root(z: KElement, allow_denominator_f: bool = True) -> tuple[int, KElement] | None:
+def k_square_root(z: KElement) -> tuple[int, KElement] | None:
     """Solve (x / sqrt(f))**2 = z exactly, f squarefree positive and minimal.
 
     Writing z = p + q*sqrt(-m) and x = a + b*sqrt(-m), the equations are
@@ -387,9 +391,6 @@ def k_square_root(z: KElement, allow_denominator_f: bool = True) -> tuple[int, K
     applies to p (rational root) or -p/m (purely imaginary root).  The pair
     (f, x) representing a fixed complex number is unique, so this f is the
     only candidate; the root returned has a > 0, or a = 0 and b > 0.
-
-    With allow_denominator_f=False only f = 1 is accepted (square roots
-    inside K itself).
     """
     m, p, q = z.m, z.x, z.y
     if z.is_zero():
@@ -422,8 +423,6 @@ def k_square_root(z: KElement, allow_denominator_f: bool = True) -> tuple[int, K
         b = f * q / (2 * a)
         root = KElement(m, a, b)
     if (root * root) != KElement(m, f * p, f * q):
-        return None
-    if not allow_denominator_f and f != 1:
         return None
     return f, root
 

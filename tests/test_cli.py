@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bianchimax import atkin_lehner, field_params, matrix_from_json, matrix_to_json, spin_map
 from bianchimax.cli import main
 from bianchimax.serialize import orthomap_to_json
@@ -209,3 +211,38 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout) == {"m": 1, "d_K": -4, "index": 2}
+
+
+LARGE_PRIME = 1000000000000000003
+LARGE_DIAGONAL = json.dumps(
+    {
+        "m": 1,
+        "f": LARGE_PRIME,
+        "A": [[[str(LARGE_PRIME), "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "args,stdin_text,message",
+    [
+        (["index", "--m", str(LARGE_PRIME)], None, "cannot factor"),
+        (["vd", "--m", "1", "--d", str(LARGE_PRIME)], None, "does not divide"),
+        (["classify"], LARGE_DIAGONAL, "cannot factor"),
+    ],
+)
+def test_large_prime_inputs_fail_fast(args, stdin_text, message):
+    import subprocess
+    import sys
+
+    # trial division up to the 18-digit prime would run for hours
+    result = subprocess.run(
+        [sys.executable, "-m", "bianchimax", *args],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert result.returncode == 1
+    assert message in json.loads(result.stdout)["error"]
+    assert "Traceback" not in result.stderr

@@ -271,6 +271,20 @@ class TestSquarefreeDivisors:
         nu = len(prime_factors(params.d_K))
         assert len(squarefree_divisors(params.d_K)) == 2**nu
 
+    def test_smooth_numbers_of_any_size_factor(self):
+        assert prime_factors(2**60) == {2: 60}
+        assert prime_factors(3**50 * 7**40) == {3: 50, 7: 40}
+
+    def test_prime_below_factoring_limit_factors(self):
+        p = 17592186044399  # the largest prime below 2**44
+        assert prime_factors(p) == {p: 1}
+        assert prime_factors(6 * p) == {2: 1, 3: 1, p: 1}
+
+    def test_large_unfactored_cofactor_raises(self):
+        n = (2**31 - 1) * (2**61 - 1)
+        with pytest.raises(ValueError, match=f"cannot factor {n}.*2\\*\\*44"):
+            prime_factors(n)
+
     def test_squarefree_part(self):
         assert squarefree_part(1) == 1
         assert squarefree_part(4) == 1

@@ -35,6 +35,9 @@ from bianchimax.sampling import (
 )
 
 
+DIAG_2111 = OrthoMap(1, ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+
 def k(m, x, y=0):
     return KElement(m, x, y)
 
@@ -241,6 +244,18 @@ class TestLatticeAutomorphisms:
         rows[2][2] = Fraction(1, 2)
         assert not preserves_lattice(OrthoMap(1, tuple(tuple(r) for r in rows)))
 
+    def test_zero_map_rejected(self):
+        zero = tuple((0, 0, 0, 0) for _ in range(4))
+        assert not preserves_lattice(OrthoMap(1, zero))
+
+    def test_swap_with_determinant_minus_one_preserves(self):
+        swap = OrthoMap(1, ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+        assert swap.is_orthogonal() and swap.determinant() == -1
+        assert preserves_lattice(swap)
+
+    def test_integral_map_with_determinant_two_rejected(self):
+        assert not preserves_lattice(DIAG_2111)
+
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
     def test_coset_images_preserve_lattice(self, m):
         params = field_params(m)
@@ -249,6 +264,25 @@ class TestLatticeAutomorphisms:
             for _ in range(6):
                 image = spin_map(random_coset_element(rng, params, d))
                 assert preserves_lattice(image)
+
+
+class TestOrthoMapInverse:
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+    def test_inverse_of_spin_images(self, m):
+        params = field_params(m)
+        rng = Random(f"orthoinverse:{m}")
+        mats = [random_ambient_element(rng, params) for _ in range(6)]
+        mats += [random_coset_element(rng, params, d) for d in squarefree_divisors(params.d_K)]
+        mats += [random_zero_corner_element(rng, params, f) for f in (1, 2)]
+        for mat in mats:
+            phi = spin_map(mat)
+            inverse = phi.inverse()
+            assert phi * inverse == OrthoMap.identity(m)
+            assert inverse == spin_map(mat.inverse())
+
+    def test_map_not_preserving_the_form_raises(self):
+        with pytest.raises(ValueError, match="quadratic form"):
+            DIAG_2111.inverse()
 
 
 class TestDualLattice:
@@ -359,10 +393,6 @@ class TestKSquareRoot:
 
     def test_norm_not_square_gives_none(self):
         assert k_square_root(k(1, 1, 1)) is None
-
-    def test_disallow_denominator(self):
-        assert k_square_root(k(1, 0, 1), allow_denominator_f=False) is None
-        assert k_square_root(k(1, 0, 2), allow_denominator_f=False) == (1, k(1, 1, 1))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
     def test_round_trip_on_random_squares(self, m):
