@@ -11,12 +11,15 @@ maximal discrete extension of SL2(O_K) inside SL2(C).
 
 Membership is decided by an ideal criterion on the minimal integral
 representative B of an element: the O_K-ideal generated by the entries of B
-must square to the principal ideal generated by det B.
+must square to the principal ideal generated by det B.  The coset of a member
+is read off its canonical denominator f and certified by one product with a
+cached V_f**-1; the ideal criterion stays the independent membership test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .field import (
@@ -98,22 +101,29 @@ def in_maximal_extension(mat: ExtendedMatrix) -> bool:
     return content * content == IdealHNF.principal(params, params.integer(det_b))
 
 
+@lru_cache(maxsize=None)
+def _atkin_lehner_inverse(m: int, d: int) -> ExtendedMatrix:
+    """V_d**-1 for the field of m, kept like the field_params cache."""
+    return atkin_lehner(field_params(m), d).inverse()
+
+
 def classify_coset(mat: ExtendedMatrix) -> int:
     """The divisor d with mat in Gamma_K * V_d; requires membership.
 
     The canonical squarefree denominator f is the coset label: multiplying an
-    integral unit-determinant matrix into V_d keeps denominator d.  The result
-    is double-checked by verifying that mat * V_f**-1 is integral.
+    integral unit-determinant matrix into V_d keeps denominator d.  An integral
+    mat * V_f**-1 certifies that mat lies in Gamma_K * V_f, so a member costs
+    one product with a cached V_f**-1.  Only when that certificate fails is the
+    ideal criterion consulted, to tell a non-member (ValueError) from a member
+    outside its labelled coset (AssertionError, a failed self-check).
     """
+    label = mat.f
+    params = field_params(mat.m)
+    if abs(params.d_K) % label == 0 and (mat * _atkin_lehner_inverse(mat.m, label)).is_integral():
+        return label
     if not in_maximal_extension(mat):
         raise ValueError("matrix is not in the maximal discrete extension")
-    params = field_params(mat.m)
-    label = mat.f
-    if abs(params.d_K) % label != 0:
-        raise AssertionError(f"canonical denominator {label} does not divide |d_K|")
-    if not (mat * atkin_lehner(params, label).inverse()).is_integral():
-        raise AssertionError(f"member with denominator {label} is not in coset {label}")
-    return label
+    raise AssertionError(f"member with denominator {label} is not in coset {label}")
 
 
 def coset_law(d: int, e: int) -> int:

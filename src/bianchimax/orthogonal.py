@@ -82,14 +82,6 @@ class HermitianK:
     def from_coords(cls, params: FieldParams, v: Vec4) -> "HermitianK":
         return cls(v[0], v[1], params.from_theta_coords(v[2], v[3]))
 
-    def is_integral(self) -> bool:
-        """Membership in the lattice of integral Hermitian matrices."""
-        return (
-            self.s1.denominator == 1
-            and self.s2.denominator == 1
-            and self.s.is_integral()
-        )
-
 
 def hermitian_basis(params: FieldParams) -> tuple[HermitianK, ...]:
     """The fixed Z-basis (H1, H2, H3, H4) of the integral Hermitian lattice."""

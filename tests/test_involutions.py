@@ -2,6 +2,7 @@ from random import Random
 
 import pytest
 
+from bianchimax import involutions
 from bianchimax import (
     BezoutPair,
     ExtendedMatrix,
@@ -196,6 +197,45 @@ class TestClassification:
         rng = Random(f"classify:{m}")
         for d in squarefree_divisors(params.d_K):
             for _ in range(5):
+                assert classify_coset(random_coset_element(rng, params, d)) == d
+
+    def test_denominator_outside_d_k_raises(self):
+        params = field_params(1)
+        mat = ExtendedMatrix.from_integral(
+            3, ((params.integer(3), params.integer(0)), (params.integer(0), params.integer(1)))
+        )
+        assert mat.f == 3 and abs(params.d_K) % 3 != 0
+        with pytest.raises(ValueError, match="not in the maximal discrete extension"):
+            classify_coset(mat)
+
+    def test_inverse_cache_is_keyed_by_field_and_divisor(self):
+        p1, p5 = field_params(1), field_params(5)
+        m1_member = atkin_lehner(p1, 2)
+        m5_member = atkin_lehner(p5, 2) * random_unimodular(Random("key"), p5)
+        m5_non_member = ExtendedMatrix.from_integral(
+            2, ((p5.integer(2), p5.integer(0)), (p5.integer(0), p5.integer(1)))
+        )
+        assert (m1_member.f, m5_member.f, m5_non_member.f) == (2, 2, 2)
+        cases = [(m1_member, 2), (m5_member, 2), (m5_non_member, None)]
+        for order in (cases, cases[::-1]):
+            involutions._atkin_lehner_inverse.cache_clear()
+            for mat, label in order:
+                if label is None:
+                    with pytest.raises(ValueError, match="not in the maximal discrete extension"):
+                        classify_coset(mat)
+                else:
+                    assert classify_coset(mat) == label
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_members_classify_by_certificate_alone(self, m, monkeypatch):
+        def unexpected(mat):
+            raise AssertionError("the ideal criterion ran on a member")
+
+        monkeypatch.setattr(involutions, "in_maximal_extension", unexpected)
+        params = field_params(m)
+        rng = Random(f"certificate:{m}")
+        for d in squarefree_divisors(params.d_K):
+            for _ in range(3):
                 assert classify_coset(random_coset_element(rng, params, d)) == d
 
 
