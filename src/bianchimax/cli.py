@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field as dataclass_field
 from typing import Any
 
 from .field import field_params
@@ -28,19 +27,23 @@ from .involutions import (
     factor_group_table,
     in_maximal_extension,
 )
-from .orthogonal import LiftError, in_discriminant_kernel, preserves_lattice, spin_lift, spin_map
+from .orthogonal import LiftError, _in_discriminant_kernel, preserves_lattice, spin_lift, spin_map
 from .serialize import matrix_from_json, matrix_to_json, orthomap_from_json, orthomap_to_json
-from .verify import run_suites
 
 
 EXIT_CODES = {"error": 1, "internal_error": 3}
 
 
-@dataclass
 class CommandResult:
-    status: str  # "ok" | "member_no" | "error" | "internal_error"
-    payload: Any
-    diagnostics: list[str] = dataclass_field(default_factory=list)
+    def __init__(self, status: str, payload: Any, diagnostics: list[str] | None = None) -> None:
+        self.status = status  # "ok" | "member_no" | "error" | "internal_error"
+        self.payload = payload
+        self.diagnostics = [] if diagnostics is None else diagnostics
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CommandResult):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def exit_code(self) -> int:
@@ -84,7 +87,7 @@ def cmd_phi(args: argparse.Namespace) -> CommandResult:
     payload["orthogonal"] = image.is_orthogonal()
     lattice = preserves_lattice(image)
     payload["lattice_preserving"] = lattice
-    payload["discriminant_kernel"] = in_discriminant_kernel(image) if lattice else False
+    payload["discriminant_kernel"] = _in_discriminant_kernel(image) if lattice else False
     return CommandResult(status="ok", payload=payload)
 
 
@@ -115,6 +118,9 @@ def cmd_table(args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_verify(args: argparse.Namespace) -> CommandResult:
+    # Imported here: the suites and their samplers are not needed by any other command.
+    from .verify import run_suites
+
     for m in args.m:
         field_params(m)  # validate before running anything
     results = run_suites(args.m, height=args.height, seed=args.seed)

@@ -9,7 +9,6 @@ normal form, so equality is a componentwise comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -216,14 +215,36 @@ class KElement:
         return a.denominator == 1 and b.denominator == 1
 
 
-@dataclass(frozen=True)
 class FieldParams:
     """Invariants of K = Q(sqrt(-m)): discriminant and integral generators."""
 
-    m: int
-    d_K: int
-    theta: KElement
-    omega: KElement
+    __slots__ = ("m", "d_K", "theta", "omega")
+
+    def __init__(self, m: int, d_K: int, theta: KElement, omega: KElement) -> None:
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "d_K", d_K)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "omega", omega)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("FieldParams is immutable")
+
+    def _key(self) -> tuple[int, int, KElement, KElement]:
+        return (self.m, self.d_K, self.theta, self.omega)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FieldParams):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"FieldParams(m={self.m}, d_K={self.d_K}, "
+            f"theta={self.theta!r}, omega={self.omega!r})"
+        )
 
     @property
     def theta_trace(self) -> int:

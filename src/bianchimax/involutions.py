@@ -18,7 +18,6 @@ cached V_f**-1; the ideal criterion stays the independent membership test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
@@ -32,12 +31,28 @@ from .field import (
 from .matrices import ExtendedMatrix
 
 
-@dataclass(frozen=True)
 class BezoutPair:
     """Integers (u, v) with u*d - v*(N(omega)/d) = 1 for a fixed divisor d."""
 
-    u: int
-    v: int
+    __slots__ = ("u", "v")
+
+    def __init__(self, u: int, v: int) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("BezoutPair is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BezoutPair):
+            return NotImplemented
+        return (self.u, self.v) == (other.u, other.v)
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.v))
+
+    def __repr__(self) -> str:
+        return f"BezoutPair(u={self.u}, v={self.v})"
 
 
 def _check_divisor(params: FieldParams, d: int) -> None:

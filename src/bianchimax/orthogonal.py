@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, lcm
 
 from .field import (
     FieldParams,
@@ -145,22 +145,28 @@ def _identity4() -> Mat4:
 
 
 def _det4(a: Mat4) -> Fraction:
-    rows = [list(r) for r in a]
-    det = Fraction(1)
-    for col in range(4):
-        pivot = next((r for r in range(col, 4) if rows[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, 4):
-            factor = rows[r][col] * inv
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det
+    """Determinant by fraction-free (Bareiss) elimination.
+
+    The entries are scaled to integers by their common denominator D, so
+    every step is an exact integer division and det a = det(D*a) / D**4.
+    """
+    den = lcm(*(x.denominator for row in a for x in row))
+    rows = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    sign, prev = 1, 1
+    for k in range(3):
+        if rows[k][k] == 0:
+            swap = next((r for r in range(k + 1, 4) if rows[r][k] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        pivot = rows[k][k]
+        for i in range(k + 1, 4):
+            row_i, factor = rows[i], rows[i][k]
+            for j in range(k + 1, 4):
+                row_i[j] = (row_i[j] * pivot - factor * rows[k][j]) // prev
+        prev = pivot
+    return Fraction(sign * rows[3][3], den**4)
 
 
 class OrthoMap:
@@ -231,9 +237,9 @@ class OrthoMap:
         return _mat_mul(_mat_mul(_transpose(self.rows), g), self.rows) == g
 
     def maps_positive_cone(self) -> bool:
-        """Identity-component test: the image of E = H1 + H2 has positive trace."""
-        image_e = self.apply_coords((Fraction(1), Fraction(1), Fraction(0), Fraction(0)))
-        return image_e[0] + image_e[1] > 0
+        """Identity-component test: the image c1 + c2 of E = H1 + H2 has positive trace."""
+        (s1_h1, s1_h2, _, _), (s2_h1, s2_h2, _, _) = self.rows[:2]
+        return s1_h1 + s1_h2 + s2_h1 + s2_h2 > 0
 
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for row in self.rows for x in row)
@@ -357,19 +363,34 @@ def dual_lattice_index(params: FieldParams) -> int:
     return int(index)
 
 
+@lru_cache(maxsize=None)
+def _dual_coords(m: int) -> tuple[Vec4, ...]:
+    return tuple(g.coords() for g in dual_basis(field_params(m)))
+
+
 def in_discriminant_kernel(phi_map: OrthoMap) -> bool:
     """Whether a lattice automorphism acts as the identity on dual/lattice.
 
-    Checking the generators suffices: the map is linear and dual coordinates
-    of lattice vectors are integral.
+    Raises ValueError unless the map preserves the lattice.
     """
     if not preserves_lattice(phi_map):
         raise ValueError("discriminant kernel test requires a lattice-preserving map")
-    for g in dual_basis(field_params(phi_map.m)):
-        v = g.coords()
-        moved = phi_map.apply_coords(v)
-        if any((x - y).denominator != 1 for x, y in zip(moved, v)):
-            return False
+    return _in_discriminant_kernel(phi_map)
+
+
+def _in_discriminant_kernel(phi_map: OrthoMap) -> bool:
+    """in_discriminant_kernel for a map already known to preserve the lattice.
+
+    Checking the generators suffices: the map is linear and dual coordinates
+    of lattice vectors are integral.  P v is the combination of the image
+    columns with the coordinates of v, so P v - v needs no matrix product.
+    """
+    cols = tuple(zip(*phi_map.rows))
+    for v in _dual_coords(phi_map.m):
+        terms = [(x, col) for x, col in zip(v, cols) if x != 0]
+        for i in range(4):
+            if (sum(x * col[i] for x, col in terms) - v[i]).denominator != 1:
+                return False
     return True
 
 
@@ -444,35 +465,54 @@ def _solve_theta_system(params: FieldParams, plain: KElement, twisted: KElement)
     return (theta_bar * plain - twisted) / (theta_bar - theta)
 
 
-def _lift_raw(phi_map: OrthoMap, twisted: bool = False) -> ExtendedMatrix:
+@lru_cache(maxsize=None)
+def _j_inverse(m: int) -> ExtendedMatrix:
+    """The inverse [[0, 1], [-1, 0]] of J = [[0, -1], [1, 0]]."""
+    params = field_params(m)
+    zero, one = params.integer(0), params.integer(1)
+    return ExtendedMatrix.from_integral(1, ((zero, one), (-one, zero)))
+
+
+def _twisted_columns(t: int, cols: Mat4) -> Mat4:
+    """The image columns of phi * spin_map(J), J = [[0, -1], [1, 0]], from
+    the image columns (c1, c2, c3, c4) of phi.
+
+    J maps H1, H2, H3, H4 to H2, H1, -H3, H4 - t*H3, with t the trace of theta.
+    """
+    c1, c2, c3, c4 = cols
+    neg_c3 = tuple(-x for x in c3)
+    return (c2, c1, neg_c3, tuple(x - t * y for x, y in zip(c4, c3)))  # type: ignore[return-value]
+
+
+def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
     params = field_params(phi_map.m)
-    basis = hermitian_basis(params)
-    image = [phi_map.apply(h) for h in basis]
+    # Column j of the rows is the image of H_j.
+    cols: Mat4 = tuple(zip(*phi_map.rows))  # type: ignore[assignment]
+    if cols[0][0] != 0:
+        return _lift_columns(params, cols)
+    if cols[1][0] == 0:
+        raise LiftError("root", "both candidate columns vanish; no lift exists")
+    twisted = _twisted_columns(params.theta_trace, cols)
+    return _lift_columns(params, twisted) * _j_inverse(params.m)
 
-    alpha_abs2 = image[0].s1
-    if alpha_abs2 == 0:
-        if twisted:
-            raise LiftError("root", "both candidate columns vanish; no lift exists")
-        j_mat = ExtendedMatrix.from_integral(
-            1,
-            (
-                (params.integer(0), params.integer(-1)),
-                (params.integer(1), params.integer(0)),
-            ),
-        )
-        lifted = _lift_raw(phi_map * spin_map(j_mat), twisted=True)
-        return lifted * j_mat.inverse()
 
+def _lift_columns(params: FieldParams, cols: Mat4) -> ExtendedMatrix:
+    """The lift from the image columns of H1..H4, when the (1,1) entry of
+    the image of H1 is nonzero."""
+    c1, _, c3, c4 = cols
     # P(H1) = [[a*conj(a), a*conj(c)], [., c*conj(c)]] for the lifted columns.
-    alpha_gamma_bar = image[0].s
+    alpha_abs2 = c1[0]
+    alpha_gamma_bar = params.from_theta_coords(c1[2], c1[3])
     # The (1,1) and (1,2) entries of P(H3), P(H4) give two linear systems with
     # the invertible matrix ((1,1),(theta,conj(theta))).
     alpha_beta_bar = _solve_theta_system(
-        params,
-        params.element(image[2].s1, 0),
-        params.element(image[3].s1, 0),
+        params, params.element(c3[0], 0), params.element(c4[0], 0)
     )
-    alpha_delta_bar = _solve_theta_system(params, image[2].s, image[3].s)
+    alpha_delta_bar = _solve_theta_system(
+        params,
+        params.from_theta_coords(c3[2], c3[3]),
+        params.from_theta_coords(c4[2], c4[3]),
+    )
 
     alpha_sq = (
         KElement(params.m, alpha_abs2, 0) * alpha_delta_bar

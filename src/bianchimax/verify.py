@@ -9,7 +9,6 @@ by (seed, suite name, m), so output is byte-stable for identical flags.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
 from math import gcd
 from random import Random
 from typing import Callable
@@ -26,9 +25,9 @@ from .involutions import (
 from .matrices import ExtendedMatrix, is_algebraic_integer
 from .orthogonal import (
     OrthoMap,
+    _in_discriminant_kernel,
     dual_basis,
     dual_lattice_index,
-    in_discriminant_kernel,
     in_dual_lattice,
     preserves_lattice,
     sign_normalize,
@@ -54,13 +53,27 @@ from .serialize import (
 MAX_COUNTEREXAMPLES = 3
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    m: int
-    passed: int = 0
-    failed: int = 0
-    counterexamples: list[str] = dataclass_field(default_factory=list)
+    """Pass and fail counts of one suite for one m, with the first counterexamples."""
+
+    def __init__(
+        self,
+        name: str,
+        m: int,
+        passed: int = 0,
+        failed: int = 0,
+        counterexamples: list[str] | None = None,
+    ) -> None:
+        self.name = name
+        self.m = m
+        self.passed = passed
+        self.failed = failed
+        self.counterexamples = [] if counterexamples is None else counterexamples
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SuiteResult):
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def check(self, ok: bool, witness: Callable[[], str]) -> None:
         if ok:
@@ -323,12 +336,13 @@ def suite_orthogonal_lattice(ctx: _Context) -> SuiteResult:
         for _ in range(8):
             mat = random_coset_element(rng, params, d)
             image = spin_map(mat)
+            lattice = preserves_lattice(image)
             res.check(
-                preserves_lattice(image),
+                lattice,
                 lambda mat=mat: f"image of {mat!r} does not preserve the lattice",
             )
             res.check(
-                in_discriminant_kernel(image) == (d == 1),
+                lattice and _in_discriminant_kernel(image) == (d == 1),
                 lambda mat=mat, d=d: f"discriminant kernel test wrong on coset {d}: {mat!r}",
             )
             for g in duals:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -198,6 +200,40 @@ class TestVerify:
         assert code == 0
         payload = json.loads(out)
         assert {s["m"] for s in payload["suites"]} == {1, 3}
+
+
+    def test_stdout_golden(self, capsys, monkeypatch):
+        # The output is byte-stable: any change to a suite's samples, checks or
+        # counts changes this sha256.
+        args = ["verify", "--m", "1", "--m", "3", "--m", "5", "--height", "1", "--seed", "0"]
+        code, out, _ = run_cli(capsys, monkeypatch, args)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "876155bd4581be1b9842a8b121901b970e45217af8e44d641a0168682cb7ff27"
+        )
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_verify():
+    import subprocess
+    import sys
+
+    import bianchimax
+
+    src = os.path.dirname(os.path.dirname(bianchimax.__file__))
+    probe = (
+        "import sys, bianchimax.cli; "
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'bianchimax.verify') "
+        "if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_console_entry_point_runs():

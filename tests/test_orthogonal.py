@@ -25,6 +25,7 @@ from bianchimax import (
     spin_map,
     squarefree_divisors,
 )
+from bianchimax.orthogonal import _det4, _twisted_columns
 from bianchimax.sampling import (
     integral_matrices_with_det,
     matrix_from_coords,
@@ -36,6 +37,8 @@ from bianchimax.sampling import (
 
 
 DIAG_2111 = OrthoMap(1, ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+# Fields with theta trace t = 0 (m = 1, 2 mod 4) and t = 1 (m = 3 mod 4).
+NINE_FIELDS = [1, 2, 3, 5, 6, 7, 10, 11, 15]
 
 
 def k(m, x, y=0):
@@ -47,6 +50,30 @@ def j_matrix(m):
     return ExtendedMatrix.from_integral(
         1, ((params.integer(0), params.integer(-1)), (params.integer(1), params.integer(0)))
     )
+
+
+def det4_oracle(a):
+    """Determinant by Gaussian elimination over Fractions with row swaps."""
+    rows = [[Fraction(x) for x in r] for r in a]
+    det = Fraction(1)
+    for col in range(4):
+        pivot = next((r for r in range(col, 4) if rows[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, 4):
+            factor = rows[r][col] * inv
+            if factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def columns(phi):
+    return tuple(zip(*phi.rows))
 
 
 def signature(gram):
@@ -266,6 +293,59 @@ class TestLatticeAutomorphisms:
                 assert preserves_lattice(image)
 
 
+class TestDeterminant:
+    """_det4 runs fraction-free on integers; det4_oracle eliminates over Fractions."""
+
+    def random_rational(self, rng, zero_share=0.0):
+        return tuple(
+            tuple(
+                Fraction(0) if rng.random() < zero_share
+                else Fraction(rng.randint(-20, 20), rng.randint(1, 60))
+                for _ in range(4)
+            )
+            for _ in range(4)
+        )
+
+    def test_random_rational_matrices(self):
+        rng = Random("det4")
+        for _ in range(200):
+            a = self.random_rational(rng)
+            assert _det4(a) == det4_oracle(a)
+
+    def test_sparse_matrices_with_zero_pivots(self):
+        rng = Random("det4:sparse")
+        swaps = singular = 0
+        for _ in range(300):
+            a = self.random_rational(rng, zero_share=0.6)
+            swaps += a[0][0] == 0
+            det = _det4(a)
+            singular += det == 0
+            assert det == det4_oracle(a)
+        assert swaps > 100 and singular > 50
+
+    def test_zero_leading_pivot_needs_a_row_swap(self):
+        a = (
+            (0, 2, 1, 3),
+            (Fraction(1, 3), 0, 0, 1),
+            (0, 0, 5, 0),
+            (0, 1, 0, Fraction(-7, 60)),
+        )
+        assert _det4(a) == det4_oracle(a) != 0
+
+    def test_zero_pivot_after_the_first_step(self):
+        # the (2,2) entry vanishes only after eliminating the first column
+        a = ((1, 2, 0, 0), (1, 2, 1, 0), (0, 1, 0, 0), (0, 0, 0, Fraction(1, 2)))
+        assert _det4(a) == det4_oracle(a) == Fraction(-1, 2)
+
+    def test_singular(self):
+        rng = Random("det4:singular")
+        for _ in range(20):
+            r0, r1, r2, _ = self.random_rational(rng)
+            c = Fraction(rng.randint(-9, 9), rng.randint(1, 60))
+            r3 = tuple(x + c * y for x, y in zip(r0, r2))
+            assert _det4((r0, r1, r2, r3)) == 0 == det4_oracle((r0, r1, r2, r3))
+
+
 class TestOrthoMapInverse:
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
     def test_inverse_of_spin_images(self, m):
@@ -286,7 +366,10 @@ class TestOrthoMapInverse:
 
 
 class TestDualLattice:
-    @pytest.mark.parametrize("m,index", [(1, 4), (2, 8), (3, 3), (5, 20), (7, 7), (10, 40)])
+    @pytest.mark.parametrize(
+        "m,index",
+        [(1, 4), (2, 8), (3, 3), (5, 20), (7, 7), (10, 40), (6, 24), (11, 11), (15, 15)],
+    )
     def test_index_equals_discriminant(self, m, index):
         params = field_params(m)
         assert dual_lattice_index(params) == abs(params.d_K) == index
@@ -420,6 +503,19 @@ class TestKSquareRoot:
         assert found[0] == 3
 
 
+class TestTwistedRoute:
+    @pytest.mark.parametrize("m", NINE_FIELDS)
+    def test_closed_form_columns_match_the_product(self, m):
+        params = field_params(m)
+        rng = Random(f"twisted:{m}")
+        j_image = spin_map(j_matrix(m))
+        mats = [random_ambient_element(rng, params) for _ in range(6)]
+        mats += [random_zero_corner_element(rng, params, f) for f in (1, 2) for _ in range(3)]
+        for mat in mats:
+            phi = spin_map(mat)
+            assert _twisted_columns(params.theta_trace, columns(phi)) == columns(phi * j_image)
+
+
 class TestSpinLift:
     def test_identity(self):
         assert spin_lift(OrthoMap.identity(1)) == ExtendedMatrix.identity(1)
@@ -443,7 +539,7 @@ class TestSpinLift:
             mat = random_ambient_element(rng, params)
             assert spin_lift(spin_map(mat)) == sign_normalize(mat)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("m", NINE_FIELDS)
     def test_round_trip_zero_corner(self, m):
         params = field_params(m)
         rng = Random(f"liftzero:{m}")
