@@ -1,10 +1,15 @@
 """Exact arithmetic in K = Q(sqrt(-m)) and its ring of integers.
 
-Elements are stored with exact rational coordinates with respect to
-{1, sqrt(-m)}, one representation for every m; coordinates with respect
-to the integral basis {1, theta} are available through a helper.  Ideals
-of the ring of integers are kept in a canonical lower-triangular Hermite
-normal form, so equality is a componentwise comparison.
+Elements are stored with exact rational coordinates with respect to the
+integral basis {1, theta} of the ring of integers, one representation for
+every m: theta = (1 + sqrt(-m))/2 for m = 3 (mod 4) and sqrt(-m) otherwise.
+Integrality is then a denominator check, and products use
+theta**2 = t*theta - n with t and n the trace and norm of theta.  The
+coordinates with respect to {1, sqrt(-m)}, which the constructor, printing
+and serialization use, are derived.  Only int and Fraction are accepted as
+coordinates.  Ideals of the ring of integers are kept in a canonical
+lower-triangular Hermite normal form, so equality is a componentwise
+comparison.
 """
 
 from __future__ import annotations
@@ -108,18 +113,60 @@ def theta_product(t: int, n: int, a1: int, b1: int, a2: int, b2: int) -> tuple[i
 _RationalLike = int | Fraction
 
 
-class KElement:
-    """x + y*sqrt(-m) with exact rational x, y."""
+def _require_exact(value: object) -> None:
+    """Reject anything but an int (not a bool) or a Fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(
+            f"field coordinates must be int or Fraction, got {value!r} ({type(value).__name__})"
+        )
 
-    __slots__ = ("m", "x", "y")
+
+class KElement:
+    """a + b*theta with exact rational a, b, where {1, theta} is the integral basis.
+
+    The constructor takes the coordinates x, y of x + y*sqrt(-m), which stay
+    available as the properties `x` and `y`.  For m = 3 (mod 4), where
+    theta = (1 + sqrt(-m))/2, that means a = x - y and b = 2y; otherwise
+    theta = sqrt(-m) and (a, b) = (x, y).
+    """
+
+    __slots__ = ("m", "a", "b")
 
     def __init__(self, m: int, x: _RationalLike, y: _RationalLike) -> None:
+        _require_exact(x)
+        _require_exact(y)
+        if m % 4 == 3:
+            x, y = x - y, 2 * y
+        self._set(m, x, y)
+
+    def _set(self, m: int, a: _RationalLike, b: _RationalLike) -> None:
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "x", Fraction(x))
-        object.__setattr__(self, "y", Fraction(y))
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
+
+    @classmethod
+    def _raw(cls, m: int, a: _RationalLike, b: _RationalLike) -> "KElement":
+        """The element a + b*theta."""
+        z = object.__new__(cls)
+        z._set(m, a, b)
+        return z
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("KElement is immutable")
+
+    @property
+    def x(self) -> Fraction:
+        """The rational part: the coefficient of 1 in the basis {1, sqrt(-m)}."""
+        if self.m % 4 == 3:
+            return self.a + self.b / 2
+        return self.a
+
+    @property
+    def y(self) -> Fraction:
+        """The coefficient of sqrt(-m) in the basis {1, sqrt(-m)}."""
+        if self.m % 4 == 3:
+            return self.b / 2
+        return self.b
 
     def __repr__(self) -> str:
         return f"KElement(m={self.m}, {self.x!s}, {self.y!s})"
@@ -133,24 +180,27 @@ class KElement:
                 raise ValueError(f"mixed fields: m={self.m} vs m={other.m}")
             return other
         if isinstance(other, (int, Fraction)):
-            return KElement(self.m, other, 0)
+            return KElement._raw(self.m, other, 0)
         return None
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            return self.y == 0 and self.x == other
+            return self.b == 0 and self.a == other
         if isinstance(other, KElement):
-            return self.m == other.m and self.x == other.x and self.y == other.y
+            return self.m == other.m and self.a == other.a and self.b == other.b
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.m, self.x, self.y))
+        # A rational element equals its value, so it must hash like it.
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.m, self.a, self.b))
 
     def __add__(self, other: object) -> "KElement":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return KElement(self.m, self.x + o.x, self.y + o.y)
+        return KElement._raw(self.m, self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
@@ -158,23 +208,24 @@ class KElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return KElement(self.m, self.x - o.x, self.y - o.y)
+        return KElement._raw(self.m, self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other: object) -> "KElement":
         return (-self) + other
 
     def __neg__(self) -> "KElement":
-        return KElement(self.m, -self.x, -self.y)
+        return KElement._raw(self.m, -self.a, -self.b)
 
     def __mul__(self, other: object) -> "KElement":
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return KElement(
-            self.m,
-            self.x * o.x - self.m * self.y * o.y,
-            self.x * o.y + self.y * o.x,
-        )
+        # theta_product, with theta**2 = theta - (1 + m)/4 or theta**2 = -m.
+        m, a1, b1, a2, b2 = self.m, self.a, self.b, o.a, o.b
+        bb = b1 * b2
+        if m % 4 == 3:
+            return KElement._raw(m, a1 * a2 - (1 + m) // 4 * bb, a1 * b2 + b1 * a2 + bb)
+        return KElement._raw(m, a1 * a2 - m * bb, a1 * b2 + b1 * a2)
 
     __rmul__ = __mul__
 
@@ -185,34 +236,40 @@ class KElement:
         return self * o.inverse()
 
     def conjugate(self) -> "KElement":
-        return KElement(self.m, self.x, -self.y)
+        """conj(theta) = t - theta, with t the trace of theta."""
+        if self.m % 4 == 3:
+            return KElement._raw(self.m, self.a + self.b, -self.b)
+        return KElement._raw(self.m, self.a, -self.b)
 
     def norm(self) -> Fraction:
-        """z * conj(z) = x*x + m*y*y, a nonnegative rational."""
-        return self.x * self.x + self.m * self.y * self.y
+        """z * conj(z) = a*a + t*a*b + n*b*b, a nonnegative rational."""
+        m, a, b = self.m, self.a, self.b
+        if m % 4 == 3:
+            return a * a + a * b + (1 + m) // 4 * b * b
+        return a * a + m * b * b
 
     def trace(self) -> Fraction:
-        return 2 * self.x
+        if self.m % 4 == 3:
+            return 2 * self.a + self.b
+        return 2 * self.a
 
     def is_zero(self) -> bool:
-        return self.x == 0 and self.y == 0
+        return self.a == 0 and self.b == 0
 
     def inverse(self) -> "KElement":
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero in K")
-        return KElement(self.m, self.x / n, -self.y / n)
+        a = self.a + self.b if self.m % 4 == 3 else self.a
+        return KElement._raw(self.m, a / n, -self.b / n)
 
     def theta_coords(self) -> tuple[Fraction, Fraction]:
         """Coordinates (a, b) with self = a + b*theta for the integral basis."""
-        if self.m % 4 == 3:
-            return self.x - self.y, 2 * self.y
-        return self.x, self.y
+        return self.a, self.b
 
     def is_integral(self) -> bool:
         """Whether self lies in the ring of integers Z + Z*theta."""
-        a, b = self.theta_coords()
-        return a.denominator == 1 and b.denominator == 1
+        return self.a.denominator == 1 and self.b.denominator == 1
 
 
 class FieldParams:
@@ -265,10 +322,9 @@ class FieldParams:
         return KElement(self.m, n, 0)
 
     def from_theta_coords(self, a: _RationalLike, b: _RationalLike) -> KElement:
-        a, b = Fraction(a), Fraction(b)
-        if self.m % 4 == 3:
-            return KElement(self.m, a + b / 2, b / 2)
-        return KElement(self.m, a, b)
+        _require_exact(a)
+        _require_exact(b)
+        return KElement._raw(self.m, a, b)
 
 
 def units_of(params: FieldParams) -> tuple[KElement, ...]:
@@ -292,12 +348,8 @@ def field_params(m: int) -> FieldParams:
     p = repeated_prime(m)
     if p is not None:
         raise ValueError(f"m must be squarefree, but {p}**2 divides {m}")
-    if m % 4 == 3:
-        d_K = -m
-        theta = KElement(m, Fraction(1, 2), Fraction(1, 2))
-    else:
-        d_K = -4 * m
-        theta = KElement(m, 0, 1)
+    d_K = -m if m % 4 == 3 else -4 * m
+    theta = KElement._raw(m, 0, 1)
     omega = KElement(m, m, 1)
     return FieldParams(m=m, d_K=d_K, theta=theta, omega=omega)
 

@@ -1,8 +1,12 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bianchimax import (
     IdealHNF,
@@ -41,6 +45,173 @@ def ideals_equal_oracle(params, gens_a, gens_b):
     pb = z_generator_pairs(params, gens_b)
     ca, cb, cab = covolume(pa), covolume(pb), covolume(pa + pb)
     return ca != 0 and ca == cb == cab
+
+
+class SqrtCoordsOracle:
+    """x + y*sqrt(-m) with arithmetic on {1, sqrt(-m)}-coordinates, an
+    independent reference for KElement, which stores {1, theta}-coordinates."""
+
+    def __init__(self, m, x, y):
+        self.m, self.x, self.y = m, Fraction(x), Fraction(y)
+
+    @classmethod
+    def from_theta_coords(cls, m, a, b):
+        a, b = Fraction(a), Fraction(b)
+        if m % 4 == 3:
+            return cls(m, a + b / 2, b / 2)
+        return cls(m, a, b)
+
+    def __add__(self, other):
+        return SqrtCoordsOracle(self.m, self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other):
+        return SqrtCoordsOracle(self.m, self.x - other.x, self.y - other.y)
+
+    def __mul__(self, other):
+        return SqrtCoordsOracle(
+            self.m,
+            self.x * other.x - self.m * self.y * other.y,
+            self.x * other.y + self.y * other.x,
+        )
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def conjugate(self):
+        return SqrtCoordsOracle(self.m, self.x, -self.y)
+
+    def norm(self):
+        return self.x * self.x + self.m * self.y * self.y
+
+    def trace(self):
+        return 2 * self.x
+
+    def inverse(self):
+        n = self.norm()
+        return SqrtCoordsOracle(self.m, self.x / n, -self.y / n)
+
+    def theta_coords(self):
+        if self.m % 4 == 3:
+            return self.x - self.y, 2 * self.y
+        return self.x, self.y
+
+    def is_integral(self):
+        return all(q.denominator == 1 for q in self.theta_coords())
+
+
+def assert_matches_oracle(z, o):
+    assert (z.m, z.x, z.y) == (o.m, o.x, o.y)
+    assert z.theta_coords() == o.theta_coords()
+    assert z.is_integral() == o.is_integral()
+    assert all(type(q) is Fraction for q in (z.x, z.y) + z.theta_coords())
+
+
+ORACLE_MS = [1, 2, 3, 5, 6, 7, 10, 11, 15]
+# Seeded and bounded: the same examples on every run, no example database.
+SEEDED = settings(derandomize=True, database=None, deadline=None)
+small_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+rational_pairs = st.tuples(small_rationals, small_rationals)
+
+
+class TestAgainstSqrtCoordsOracle:
+    """The {1, theta} storage against the {1, sqrt(-m)} arithmetic it replaced."""
+
+    @settings(SEEDED, max_examples=300)
+    @given(st.sampled_from(ORACLE_MS), rational_pairs, rational_pairs)
+    def test_arithmetic(self, m, p, q):
+        z, w = KElement(m, *p), KElement(m, *q)
+        oz, ow = SqrtCoordsOracle(m, *p), SqrtCoordsOracle(m, *q)
+        assert_matches_oracle(z, oz)
+        assert_matches_oracle(z + w, oz + ow)
+        assert_matches_oracle(z - w, oz - ow)
+        assert_matches_oracle(z * w, oz * ow)
+        assert_matches_oracle(z.conjugate(), oz.conjugate())
+        assert z.norm() == oz.norm()
+        assert z.trace() == oz.trace()
+        if oz.norm() != 0:
+            assert_matches_oracle(z.inverse(), oz.inverse())
+        if ow.norm() != 0:
+            assert_matches_oracle(z / w, oz / ow)
+
+    @settings(SEEDED, max_examples=150)
+    @given(st.sampled_from(ORACLE_MS), rational_pairs, small_rationals)
+    def test_mixed_with_rationals(self, m, p, r):
+        z, oz, orr = KElement(m, *p), SqrtCoordsOracle(m, *p), SqrtCoordsOracle(m, r, 0)
+        assert_matches_oracle(z + r, oz + orr)
+        assert_matches_oracle(r + z, oz + orr)
+        assert_matches_oracle(z - r, oz - orr)
+        assert_matches_oracle(r - z, orr - oz)
+        assert_matches_oracle(z * r, oz * orr)
+        assert_matches_oracle(r * z, oz * orr)
+        if r != 0:
+            assert_matches_oracle(z / r, oz / orr)
+
+    @settings(SEEDED, max_examples=150)
+    @given(st.sampled_from(ORACLE_MS), rational_pairs)
+    def test_from_theta_coords(self, m, ab):
+        z = field_params(m).from_theta_coords(*ab)
+        assert_matches_oracle(z, SqrtCoordsOracle.from_theta_coords(m, *ab))
+        assert z.theta_coords() == ab
+
+    @settings(SEEDED, max_examples=150)
+    @given(st.sampled_from(ORACLE_MS), st.tuples(st.integers(-30, 30), st.integers(-30, 30)))
+    def test_integral_elements(self, m, ab):
+        z = field_params(m).from_theta_coords(*ab)
+        assert_matches_oracle(z, SqrtCoordsOracle.from_theta_coords(m, *ab))
+        assert z.is_integral()
+        assert (z * z).is_integral() and z.norm().denominator == 1
+
+
+class TestHashMatchesEquality:
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_rational_elements_collapse_with_their_values(self, m):
+        params = field_params(m)
+        assert {params.integer(3), 3} == {3}
+        assert len({params.integer(3), 3, Fraction(3)}) == 1
+        half = params.element(Fraction(1, 2), 0)
+        assert len({half, Fraction(1, 2)}) == 1
+        table = {3: "three", Fraction(1, 2): "half"}
+        assert table[params.integer(3)] == "three"
+        assert table[half] == "half"
+        assert {params.integer(3): "k"}[3] == "k"
+        assert {params.integer(0): "zero"}[0] == "zero"
+
+    @settings(SEEDED, max_examples=150)
+    @given(st.sampled_from(ORACLE_MS), rational_pairs)
+    def test_equal_values_hash_equal(self, m, p):
+        z = KElement(m, *p)
+        assert hash(z) == hash(field_params(m).from_theta_coords(*z.theta_coords()))
+        rational = KElement(m, p[0], 0)
+        assert rational == p[0] and hash(rational) == hash(p[0])
+
+
+NOT_EXACT = [0.1, 1.0, "1/2", True, False, None, Decimal("0.5"), 1j]
+
+
+class TestOnlyIntAndFraction:
+    @pytest.mark.parametrize("bad", NOT_EXACT, ids=repr)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: KElement(1, v, 0),
+            lambda v: KElement(3, 0, v),
+            lambda v: field_params(5).element(v, 1),
+            lambda v: field_params(7).element(1, v),
+            lambda v: field_params(2).integer(v),
+            lambda v: field_params(3).from_theta_coords(v, 0),
+            lambda v: field_params(1).from_theta_coords(0, v),
+        ],
+        ids=["KElement.x", "KElement.y", "element.x", "element.y", "integer",
+             "from_theta_coords.a", "from_theta_coords.b"],
+    )
+    def test_rejected_with_the_value_named(self, build, bad):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            build(bad)
+
+    def test_int_and_fraction_accepted(self):
+        params = field_params(3)
+        assert params.element(1, Fraction(1, 3)) == KElement(3, Fraction(1), Fraction(1, 3))
+        assert params.from_theta_coords(Fraction(2, 1), 1) == params.integer(2) + params.theta
 
 
 class TestFieldParams:
