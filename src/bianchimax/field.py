@@ -179,7 +179,7 @@ class KElement:
             if other.m != self.m:
                 raise ValueError(f"mixed fields: m={self.m} vs m={other.m}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return KElement._raw(self.m, other, 0)
         return None
 

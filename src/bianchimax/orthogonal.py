@@ -23,6 +23,7 @@ from math import isqrt, lcm
 from .field import (
     FieldParams,
     KElement,
+    _require_exact,
     field_params,
     fraction_square_root,
     squarefree_part,
@@ -48,6 +49,8 @@ class HermitianK:
     __slots__ = ("m", "s1", "s2", "s")
 
     def __init__(self, s1: int | Fraction, s2: int | Fraction, s: KElement) -> None:
+        _require_exact(s1)
+        _require_exact(s2)
         object.__setattr__(self, "m", s.m)
         object.__setattr__(self, "s1", Fraction(s1))
         object.__setattr__(self, "s2", Fraction(s2))
@@ -175,9 +178,13 @@ class OrthoMap:
     __slots__ = ("m", "rows")
 
     def __init__(self, m: int, rows: Mat4) -> None:
-        frozen = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        frozen = tuple(tuple(row) for row in rows)
         if len(frozen) != 4 or any(len(r) != 4 for r in frozen):
             raise ValueError("OrthoMap requires a 4x4 matrix")
+        for row in frozen:
+            for x in row:
+                _require_exact(x)
+        frozen = tuple(tuple(Fraction(x) for x in row) for row in frozen)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", frozen)
 

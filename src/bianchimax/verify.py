@@ -1,9 +1,15 @@
-"""Self-verification suites for the CLI.
+"""The property suites: the one place each identity of the paper is checked.
 
 Each suite checks one family of algebraic identities on deterministic samples
 (seeded random walks or exhaustive small enumerations) and reports pass/fail
 counts plus the first few counterexamples.  Suite order and sampling are fixed
 by (seed, suite name, m), so output is byte-stable for identical flags.
+
+`bianchimax verify` runs every suite through `run_suites`, which accepts
+only heights 1 to 3: the exhaustive sweeps enumerate (2h+1)**8 coordinate
+tuples per field at height h.  The acceptance tests call chosen suites on
+their own fields and heights with a `_Context` whose `scale` multiplies
+every random sample count; at scale 1 every random draw is the CLI's.
 """
 
 from __future__ import annotations
@@ -56,24 +62,12 @@ MAX_COUNTEREXAMPLES = 3
 class SuiteResult:
     """Pass and fail counts of one suite for one m, with the first counterexamples."""
 
-    def __init__(
-        self,
-        name: str,
-        m: int,
-        passed: int = 0,
-        failed: int = 0,
-        counterexamples: list[str] | None = None,
-    ) -> None:
+    def __init__(self, name: str, m: int) -> None:
         self.name = name
         self.m = m
-        self.passed = passed
-        self.failed = failed
-        self.counterexamples = [] if counterexamples is None else counterexamples
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SuiteResult):
-            return NotImplemented
-        return vars(self) == vars(other)
+        self.passed = 0
+        self.failed = 0
+        self.counterexamples: list[str] = []
 
     def check(self, ok: bool, witness: Callable[[], str]) -> None:
         if ok:
@@ -85,11 +79,12 @@ class SuiteResult:
 
 
 class _Context:
-    def __init__(self, m: int, height: int, seed: int) -> None:
+    def __init__(self, m: int, height: int, seed: int, scale: int = 1) -> None:
         self.m = m
         self.params = field_params(m)
         self.height = height
         self.seed = seed
+        self.scale = scale  # multiplies every random sample count
         self._det_buckets: dict[int, list] = {}
 
     def rng(self, name: str) -> Random:
@@ -135,7 +130,7 @@ def suite_field_ideals(ctx: _Context) -> SuiteResult:
     params = ctx.params
     rng = ctx.rng("field.ideals")
     units = units_of(params)
-    for _ in range(40):
+    for _ in range(40 * ctx.scale):
         gens = [random_integral_element(rng, params, 3) for _ in range(rng.randint(1, 3))]
         ideal = IdealHNF.from_generators(params, gens)
         shuffled = gens[:]
@@ -156,7 +151,7 @@ def suite_field_ideals(ctx: _Context) -> SuiteResult:
             (ideal * other).norm() == ideal.norm() * other.norm(),
             lambda: f"norm not multiplicative: {ideal!r} * {other!r}",
         )
-    for _ in range(25):
+    for _ in range(25 * ctx.scale):
         z = random_integral_element(rng, params, 4)
         if z.is_zero():
             continue
@@ -173,7 +168,7 @@ def suite_matrices_canonical(ctx: _Context) -> SuiteResult:
     params = ctx.params
     rng = ctx.rng("matrices.canonical")
     divisors = squarefree_divisors(params.d_K)
-    for _ in range(30):
+    for _ in range(30 * ctx.scale):
         mat = random_coset_element(rng, params, rng.choice(divisors))
         d, entries = mat.integral_representative()
         for g in (1, 2, 3):
@@ -185,7 +180,7 @@ def suite_matrices_canonical(ctx: _Context) -> SuiteResult:
                 rebuilt == mat,
                 lambda mat=mat, g=g: f"scaling by {g} changed the canonical form of {mat!r}",
             )
-    for _ in range(30):
+    for _ in range(30 * ctx.scale):
         p = random_ambient_element(rng, params)
         q = random_ambient_element(rng, params)
         r = random_ambient_element(rng, params)
@@ -203,17 +198,17 @@ def suite_matrices_canonical(ctx: _Context) -> SuiteResult:
 
 
 def suite_matrices_entries(ctx: _Context) -> SuiteResult:
-    """Coset elements have algebraic-integer entries over sqrt(d)."""
+    """Coset elements have denominator d and algebraic-integer entries over sqrt(d)."""
     res = SuiteResult("matrices.entries", ctx.m)
     params = ctx.params
     rng = ctx.rng("matrices.entries")
     for d in squarefree_divisors(params.d_K):
-        for _ in range(10):
+        for _ in range(10 * ctx.scale):
             mat = random_coset_element(rng, params, d)
             for z in mat.entries:
                 res.check(
-                    is_algebraic_integer(z, mat.f),
-                    lambda z=z, mat=mat: f"{z}/sqrt({mat.f}) is not an algebraic integer",
+                    mat.f == d and is_algebraic_integer(z, d),
+                    lambda z=z, mat=mat, d=d: f"{z}/sqrt({mat.f}) in coset {d} is not integral",
                 )
     return res
 
@@ -233,7 +228,7 @@ def suite_involutions_cosets(ctx: _Context) -> SuiteResult:
                     lambda d=d: f"Bezout choice changed the coset of V_{d}",
                 )
         v_d = variants[0]
-        for _ in range(5):
+        for _ in range(5 * ctx.scale):
             g = random_unimodular(rng, params)
             res.check(
                 (v_d * g * v_d.inverse()).is_integral(),
@@ -258,7 +253,7 @@ def suite_involutions_cosets(ctx: _Context) -> SuiteResult:
 
 
 def suite_involutions_criterion(ctx: _Context) -> SuiteResult:
-    """Ideal criterion vs. coset membership on an exhaustive enumeration."""
+    """Ideal criterion vs. coset membership and label on an exhaustive enumeration."""
     res = SuiteResult("involutions.criterion", ctx.m)
     params = ctx.params
     divisors = set(squarefree_divisors(params.d_K))
@@ -275,8 +270,8 @@ def suite_involutions_criterion(ctx: _Context) -> SuiteResult:
             member = in_maximal_extension(mat)
             in_coset = (mat * involutions[d].inverse()).is_integral()
             res.check(
-                member == in_coset,
-                lambda mat=mat, member=member: f"criterion={member} but coset test disagrees: {mat!r}",
+                member == in_coset and (not member or classify_coset(mat) == d),
+                lambda mat=mat, member=member: f"criterion={member}, coset/label differ: {mat!r}",
             )
     for d in sorted(outside):
         for coords in buckets[d]:
@@ -293,7 +288,7 @@ def suite_orthogonal_homomorphism(ctx: _Context) -> SuiteResult:
     res = SuiteResult("orthogonal.homomorphism", ctx.m)
     params = ctx.params
     rng = ctx.rng("orthogonal.homomorphism")
-    for _ in range(40):
+    for _ in range(40 * ctx.scale):
         p = random_ambient_element(rng, params)
         q = random_ambient_element(rng, params)
         res.check(
@@ -333,7 +328,7 @@ def suite_orthogonal_lattice(ctx: _Context) -> SuiteResult:
         lambda: f"dual lattice index != |d_K| for m={ctx.m}",
     )
     for d in squarefree_divisors(params.d_K):
-        for _ in range(8):
+        for _ in range(8 * ctx.scale):
             mat = random_coset_element(rng, params, d)
             image = spin_map(mat)
             lattice = preserves_lattice(image)
@@ -358,10 +353,11 @@ def suite_orthogonal_lift(ctx: _Context) -> SuiteResult:
     res = SuiteResult("orthogonal.lift", ctx.m)
     params = ctx.params
     rng = ctx.rng("orthogonal.lift")
-    samples = [random_ambient_element(rng, params) for _ in range(15)]
-    samples += [random_zero_corner_element(rng, params, f) for f in (1, 2) for _ in range(3)]
+    n = ctx.scale
+    samples = [random_ambient_element(rng, params) for _ in range(15 * n)]
+    samples += [random_zero_corner_element(rng, params, f) for f in (1, 2) for _ in range(3 * n)]
     divisors = squarefree_divisors(params.d_K)
-    samples += [random_coset_element(rng, params, rng.choice(divisors)) for _ in range(10)]
+    samples += [random_coset_element(rng, params, rng.choice(divisors)) for _ in range(10 * n)]
     for mat in samples:
         lifted = spin_lift(spin_map(mat))
         res.check(
@@ -369,7 +365,7 @@ def suite_orthogonal_lift(ctx: _Context) -> SuiteResult:
             lambda mat=mat, lifted=lifted: f"lift of the image of {mat!r} gave {lifted!r}",
         )
     # Products of images stay liftable and classify inside the extension.
-    for _ in range(5):
+    for _ in range(5 * n):
         d = rng.choice(divisors)
         product = spin_map(random_coset_element(rng, params, d)) * spin_map(
             random_unimodular(rng, params)
@@ -387,7 +383,7 @@ def suite_serialize_roundtrip(ctx: _Context) -> SuiteResult:
     res = SuiteResult("serialize.roundtrip", ctx.m)
     params = ctx.params
     rng = ctx.rng("serialize.roundtrip")
-    for _ in range(20):
+    for _ in range(20 * ctx.scale):
         mat = random_ambient_element(rng, params)
         res.check(
             matrix_from_json(json.loads(json.dumps(matrix_to_json(mat)))) == mat,
@@ -416,7 +412,13 @@ ALL_SUITES: tuple[Callable[[_Context], SuiteResult], ...] = (
 
 
 def run_suites(ms: list[int], height: int = 2, seed: int = 0) -> list[SuiteResult]:
-    """Run every suite for every m, ordered by suite name then m."""
+    """Run every suite for every m, ordered by suite name then m.
+
+    Height 0 or below sweeps nothing and height 4 sweeps 9**8 matrices per
+    field, so a height outside 1..3 raises ValueError.
+    """
+    if not 1 <= height <= 3:
+        raise ValueError(f"height {height} is outside 1..3")
     results: list[SuiteResult] = []
     for m in ms:
         ctx = _Context(m, height, seed)

@@ -1,295 +1,131 @@
 """Acceptance suite: one test per criterion, exact equality throughout.
 
-Every test prints a single PASS/FAIL line with its measured runtime and
-asserts both correctness and the stated runtime ceiling.  Run with
-`pytest tests/test_acceptance.py -v -s` to see the lines as they appear.
+Criteria 1-8 call the property suites of `bianchimax.verify`, where each
+identity is written down once, on chosen fields and heights and at a larger
+`scale` (a multiplier of every random sample count).  Criterion 9 checks the
+factor-group table, which no suite covers.  Every test prints one PASS/FAIL
+line with its runtime and asserts correctness and the runtime ceiling; run
+`pytest tests/test_acceptance.py -v -s` to see the lines.
 """
 
 import time
-from math import gcd
-from random import Random
+from functools import cache
 
-from bianchimax import (
-    ExtendedMatrix,
-    OrthoMap,
-    atkin_lehner,
-    bezout_pair,
-    classify_coset,
-    coset_law,
-    dual_basis,
-    dual_lattice_index,
-    extension_index,
-    factor_group_table,
-    field_params,
-    in_discriminant_kernel,
-    in_dual_lattice,
-    in_maximal_extension,
-    is_algebraic_integer,
-    prime_factors,
-    preserves_lattice,
-    repeated_prime,
-    sign_normalize,
-    spin_lift,
-    spin_map,
-    squarefree_divisors,
-)
-from bianchimax.sampling import (
-    integral_matrices_with_det,
-    matrix_from_coords,
-    random_ambient_element,
-    random_coset_element,
-    random_zero_corner_element,
+from bianchimax import factor_group_table, field_params, prime_factors, repeated_prime
+from bianchimax.verify import (
+    SuiteResult,
+    _Context,
+    suite_field_divisors,
+    suite_involutions_cosets,
+    suite_involutions_criterion,
+    suite_matrices_entries,
+    suite_orthogonal_homomorphism,
+    suite_orthogonal_lattice,
+    suite_orthogonal_lift,
 )
 
 SQUAREFREE_M_TO_100 = [m for m in range(1, 101) if repeated_prime(m) is None]
+FIVE_FIELDS = [1, 2, 3, 5, 10]
 
 
-class Criterion:
-    def __init__(self, number, description, budget_seconds):
-        self.number = number
-        self.description = description
-        self.budget = budget_seconds
-        self.failures = []
-        self.start = time.perf_counter()
+def _run(suites, ms, height=2, scale=1):
+    """Each suite for each m, sharing one context (and its sweeps) per m."""
+    contexts = [_Context(m, height, 0, scale) for m in ms]
+    return [suite(ctx) for ctx in contexts for suite in suites]
 
-    def check(self, ok, detail):
-        if not ok:
-            self.failures.append(detail)
 
-    def finish(self):
-        elapsed = time.perf_counter() - self.start
-        ok = not self.failures and elapsed <= self.budget
-        tag = "PASS" if ok else "FAIL"
-        print(
-            f"[{tag}] criterion {self.number}: {self.description} "
-            f"({elapsed:.2f}s / budget {self.budget:.0f}s)"
-        )
-        assert not self.failures, self.failures[:5]
-        assert elapsed <= self.budget, f"runtime {elapsed:.2f}s exceeds {self.budget}s"
+def _criterion(number, description, budget, run):
+    """Time `run()`, print the PASS/FAIL line and assert on its suite results."""
+    start = time.perf_counter()
+    results = run()
+    elapsed = time.perf_counter() - start
+    failures = [f"{r.name}[m={r.m}]: {r.counterexamples}" for r in results if r.failed]
+    failures += [f"{r.name}[m={r.m}] checked nothing" for r in results if not r.passed]
+    ok = not failures and elapsed <= budget
+    tag = "PASS" if ok else "FAIL"
+    print(f"[{tag}] criterion {number}: {description} ({elapsed:.2f}s / budget {budget:.0f}s)")
+    assert not failures, failures[:5]
+    assert elapsed <= budget, f"runtime {elapsed:.2f}s exceeds {budget}s"
+
+
+@cache
+def _coset_results():
+    # One run for criteria 1-3: the index 2**nu, labels == divisors, V_d**2,
+    # the product law and Bezout independence all live in these two suites.
+    return _run((suite_field_divisors, suite_involutions_cosets), SQUAREFREE_M_TO_100)
+
+
+def _cosets_for(ms):
+    return [r for r in _coset_results() if r.name == "involutions.cosets" and r.m in ms]
 
 
 def test_criterion_1_index_reproduction():
-    crit = Criterion(1, "coset labels are distinct, closed, and number 2**nu", 10)
-    for m in SQUAREFREE_M_TO_100:
-        params = field_params(m)
-        divisors = squarefree_divisors(params.d_K)
-        labels = [classify_coset(atkin_lehner(params, d)) for d in divisors]
-        crit.check(len(set(labels)) == len(labels), f"m={m}: labels not distinct")
-        crit.check(sorted(labels) == divisors, f"m={m}: labels differ from divisors")
-        nu = len(prime_factors(params.d_K))
-        crit.check(len(labels) == 2**nu, f"m={m}: {len(labels)} labels != 2**{nu}")
-        crit.check(
-            extension_index(params) == 2**nu, f"m={m}: index != 2**{nu}"
-        )
-        for d in labels:
-            for e in labels:
-                crit.check(
-                    coset_law(d, e) in labels, f"m={m}: law({d},{e}) escapes the label set"
-                )
-    crit.finish()
+    _criterion(1, "coset labels are distinct, closed, and number 2**nu", 10, _coset_results)
 
 
 def test_criterion_2_involution_identities():
-    crit = Criterion(2, "V_d squares into SL2(O_K) and products classify as de/gcd^2", 10)
-    for m in SQUAREFREE_M_TO_100:
-        params = field_params(m)
-        divisors = squarefree_divisors(params.d_K)
-        involutions = {d: atkin_lehner(params, d) for d in divisors}
-        for d in divisors:
-            crit.check(
-                (involutions[d] * involutions[d]).is_integral(),
-                f"m={m}: V_{d}**2 not integral",
-            )
-        for d in divisors:
-            for e in divisors:
-                prod = involutions[d] * involutions[e]
-                expected = d * e // gcd(d, e) ** 2
-                crit.check(
-                    classify_coset(prod) == expected,
-                    f"m={m}: classify(V_{d} V_{e}) != {expected}",
-                )
-    crit.finish()
+    _criterion(2, "V_d squares into SL2(O_K) and products classify as de/gcd^2", 10,
+               lambda: _cosets_for(SQUAREFREE_M_TO_100))
 
 
 def test_criterion_3_bezout_well_definedness():
-    crit = Criterion(3, "three Bezout pairs per divisor give the same coset", 5)
-    for m in (1, 2, 3, 5, 6, 7, 10, 11, 15, 21, 30):
-        params = field_params(m)
-        for d in squarefree_divisors(params.d_K):
-            pairs = [bezout_pair(params, d, shift) for shift in range(3)]
-            crit.check(len(set(pairs)) == 3, f"m={m}, d={d}: pairs not distinct")
-            variants = [atkin_lehner(params, d, pair) for pair in pairs]
-            for v in variants:
-                for w in variants:
-                    crit.check(
-                        (v * w.inverse()).is_integral(),
-                        f"m={m}, d={d}: V V'^-1 not integral",
-                    )
-                    crit.check(
-                        (w.inverse() * v).is_integral(),
-                        f"m={m}, d={d}: V'^-1 V not integral",
-                    )
-    crit.finish()
+    _criterion(3, "three Bezout pairs per divisor give the same coset", 5,
+               lambda: _cosets_for({1, 2, 3, 5, 6, 7, 10, 11, 15, 21, 30}))
 
 
 def test_criterion_4_criterion_equivalence():
-    crit = Criterion(
-        4, "ideal criterion == coset membership on the exhaustive height-2 sweep", 120
-    )
-    for m in (1, 2, 3):
-        params = field_params(m)
-        divisors = set(squarefree_divisors(params.d_K))
-        outside = {
-            d for d in range(2, 11)
-            if repeated_prime(d) is None and d not in divisors
-        }
-        involutions = {d: atkin_lehner(params, d) for d in divisors}
-        checked_inside = checked_outside = 0
-        for det, coords in integral_matrices_with_det(params, 2, divisors | outside):
-            mat = matrix_from_coords(params, coords, det)
-            member = in_maximal_extension(mat)
-            if det in divisors:
-                in_coset = (mat * involutions[det].inverse()).is_integral()
-                crit.check(
-                    member == in_coset,
-                    f"m={m}, det={det}: criterion {member} vs coset {in_coset} at {coords}",
-                )
-                if member:
-                    crit.check(
-                        classify_coset(mat) == det,
-                        f"m={m}: member at {coords} classified off its determinant",
-                    )
-                checked_inside += 1
-            else:
-                crit.check(
-                    not member,
-                    f"m={m}, det={det}: matrix outside d_K accepted at {coords}",
-                )
-                checked_outside += 1
-        crit.check(checked_inside > 0, f"m={m}: empty inside enumeration")
-        crit.check(checked_outside > 0, f"m={m}: empty outside enumeration")
-    crit.finish()
+    _criterion(4, "ideal criterion == coset membership on the exhaustive height-2 sweep", 120,
+               lambda: _run((suite_involutions_criterion,), [1, 2, 3], height=2))
 
 
 def test_criterion_5_spin_homomorphism():
-    crit = Criterion(5, "spin map is a homomorphism into SO0 with kernel {+-E}", 60)
-    for m in (1, 2, 3, 5, 10):
-        params = field_params(m)
-        rng = Random(f"acceptance5:{m}")
-        for _ in range(500):
-            p = random_ambient_element(rng, params)
-            q = random_ambient_element(rng, params)
-            image_p, image_q = spin_map(p), spin_map(q)
-            crit.check(
-                spin_map(p * q) == image_p * image_q,
-                f"m={m}: multiplicativity failed",
-            )
-            crit.check(image_p.is_orthogonal(), f"m={m}: image not orthogonal")
-            crit.check(image_p.determinant() == 1, f"m={m}: image det != 1")
-            crit.check(image_p.maps_positive_cone(), f"m={m}: image leaves the cone")
-    params = field_params(1)
-    identity = OrthoMap.identity(1)
-    plus = ExtendedMatrix.identity(1)
-    kernel_hits = 0
-    for det, coords in integral_matrices_with_det(params, 2, {1}):
-        mat = matrix_from_coords(params, coords, det)
-        in_kernel = spin_map(mat) == identity
-        crit.check(
-            in_kernel == (mat in (plus, -plus)),
-            f"kernel mismatch at {coords}",
-        )
-        kernel_hits += in_kernel
-    crit.check(kernel_hits == 2, f"kernel has {kernel_hits} elements, expected 2")
-    crit.finish()
+    # 13 * 40 = 520 pairs per field; the kernel sweep runs at height 2 for m = 1.
+    suites = (suite_orthogonal_homomorphism,)
+    _criterion(5, "spin map is a homomorphism into SO0 with kernel {+-E}", 60,
+               lambda: _run(suites, [1], height=2, scale=13)
+               + _run(suites, FIVE_FIELDS[1:], height=1, scale=13))
 
 
 def test_criterion_6_lattice_theorems():
-    crit = Criterion(
-        6, "coset images preserve the lattice; discriminant kernel exactly at d=1", 60
-    )
-    for m in (1, 2, 3, 5, 10):
-        params = field_params(m)
-        rng = Random(f"acceptance6:{m}")
-        duals = dual_basis(params)
-        crit.check(
-            dual_lattice_index(params) == abs(params.d_K),
-            f"m={m}: dual index != |d_K|",
-        )
-        for d in squarefree_divisors(params.d_K):
-            for _ in range(50):
-                mat = random_coset_element(rng, params, d)
-                image = spin_map(mat)
-                crit.check(
-                    preserves_lattice(image), f"m={m}, d={d}: lattice not preserved"
-                )
-                crit.check(
-                    in_discriminant_kernel(image) == (d == 1),
-                    f"m={m}, d={d}: discriminant kernel mismatch",
-                )
-                for g in duals:
-                    crit.check(
-                        in_dual_lattice(image.apply(g)),
-                        f"m={m}, d={d}: dual basis image left the dual lattice",
-                    )
-    crit.finish()
+    # 7 * 8 = 56 coset samples per divisor.
+    _criterion(6, "coset images preserve the lattice; discriminant kernel exactly at d=1", 60,
+               lambda: _run((suite_orthogonal_lattice,), FIVE_FIELDS, scale=7))
 
 
 def test_criterion_7_spin_lift_round_trip():
-    crit = Criterion(7, "lift(spin(P)) == +-P with deterministic sign", 30)
-    for m in (1, 2, 3, 5, 10):
-        params = field_params(m)
-        rng = Random(f"acceptance7:{m}")
-        samples = [random_ambient_element(rng, params) for _ in range(90)]
-        zero_corner = [
-            random_zero_corner_element(rng, params, f) for f in (1, 2) for _ in range(5)
-        ]
-        crit.check(
-            sum(1 for s in zero_corner if s.entries[0].is_zero()) >= 10,
-            f"m={m}: fewer than 10 vanishing-corner samples",
-        )
-        for mat in samples + zero_corner:
-            lifted = spin_lift(spin_map(mat))
-            crit.check(
-                lifted == sign_normalize(mat),
-                f"m={m}: round trip failed for {mat!r}",
-            )
-    crit.finish()
+    # Per field: 6 * 15 = 90 ambient, 6 * 6 = 36 zero-corner and 60 coset
+    # samples, and 30 lifted products.
+    _criterion(7, "lift(spin(P)) == +-P with deterministic sign", 30,
+               lambda: _run((suite_orthogonal_lift,), FIVE_FIELDS, scale=6))
 
 
 def test_criterion_8_algebraic_integer_entries():
-    crit = Criterion(8, "all sampled coset entries are algebraic integers over sqrt(d)", 30)
-    for m in (1, 2, 3, 5, 10):
-        params = field_params(m)
-        rng = Random(f"acceptance8:{m}")
-        for d in squarefree_divisors(params.d_K):
-            for _ in range(50):
-                mat = random_coset_element(rng, params, d)
-                crit.check(mat.f == d, f"m={m}: sample left coset {d}")
-                for z in mat.entries:
-                    crit.check(
-                        is_algebraic_integer(z, d),
-                        f"m={m}, d={d}: entry {z} not an algebraic integer",
-                    )
-    crit.finish()
+    # 5 * 10 = 50 coset samples per divisor.
+    _criterion(8, "all sampled coset entries are algebraic integers over sqrt(d)", 30,
+               lambda: _run((suite_matrices_entries,), FIVE_FIELDS, scale=5))
+
+
+def _factor_group_result(m):
+    res = SuiteResult("factor_group", m)
+    params = field_params(m)
+    labels, table = factor_group_table(params)
+    nu = len(prime_factors(params.d_K))
+    res.check(len(labels) == 2**nu, lambda: "wrong order")
+    supports = {d: frozenset(prime_factors(d)) for d in labels}
+    by_support = {s: d for d, s in supports.items()}
+    res.check(len(by_support) == len(labels), lambda: "support map not injective")
+    for i, d in enumerate(labels):
+        res.check(table[i][i] == 1, lambda d=d: f"{d} not self-inverse")
+        res.check(sorted(table[i]) == labels, lambda d=d: f"row {d} not a permutation")
+        for j, e in enumerate(labels):
+            explicit = by_support[frozenset(supports[d] ^ supports[e])]
+            res.check(
+                table[i][j] == explicit,
+                lambda d=d, e=e: f"table[{d}][{e}] != symmetric difference image",
+            )
+    return res
 
 
 def test_criterion_9_factor_group_structure():
-    crit = Criterion(9, "factor group is elementary abelian of order 2**nu", 5)
-    for m in SQUAREFREE_M_TO_100:
-        params = field_params(m)
-        labels, table = factor_group_table(params)
-        nu = len(prime_factors(params.d_K))
-        crit.check(len(labels) == 2**nu, f"m={m}: wrong order")
-        supports = {d: frozenset(prime_factors(d)) for d in labels}
-        by_support = {s: d for d, s in supports.items()}
-        crit.check(len(by_support) == len(labels), f"m={m}: support map not injective")
-        for i, d in enumerate(labels):
-            crit.check(table[i][i] == 1, f"m={m}: {d} not self-inverse")
-            crit.check(sorted(table[i]) == labels, f"m={m}: row {d} not a permutation")
-            for j, e in enumerate(labels):
-                explicit = by_support[frozenset(supports[d] ^ supports[e])]
-                crit.check(
-                    table[i][j] == explicit,
-                    f"m={m}: table[{d}][{e}] != symmetric difference image",
-                )
-    crit.finish()
+    _criterion(9, "factor group is elementary abelian of order 2**nu", 5,
+               lambda: [_factor_group_result(m) for m in SQUAREFREE_M_TO_100])

@@ -282,3 +282,28 @@ def test_large_prime_inputs_fail_fast(args, stdin_text, message):
     assert result.returncode == 1
     assert message in json.loads(result.stdout)["error"]
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("height", ["-1", "0", "4", "1000000"])
+def test_verify_height_outside_1_to_3_fails_fast(height):
+    import subprocess
+    import sys
+
+    # height h sweeps (2h+1)**8 matrices per field; height 0 or below sweeps none
+    result = subprocess.run(
+        [sys.executable, "-m", "bianchimax", "verify", "--m", "1", "--height", height],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert result.returncode == 1
+    assert json.loads(result.stdout) == {"error": f"height {height} is outside 1..3"}
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("height", [-1, 0])
+def test_run_suites_rejects_height_outside_1_to_3(height):
+    from bianchimax.verify import run_suites
+
+    with pytest.raises(ValueError, match=f"height {height} is outside 1..3"):
+        run_suites([1], height=height)

@@ -1,3 +1,4 @@
+import operator
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -212,6 +213,25 @@ class TestOnlyIntAndFraction:
         params = field_params(3)
         assert params.element(1, Fraction(1, 3)) == KElement(3, Fraction(1), Fraction(1, 3))
         assert params.from_theta_coords(Fraction(2, 1), 1) == params.integer(2) + params.theta
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize(
+        "op", [operator.add, operator.sub, operator.mul, operator.truediv],
+        ids=["add", "sub", "mul", "truediv"],
+    )
+    def test_bool_operand_rejected_on_either_side(self, op, flag):
+        z = field_params(1).integer(3)
+        with pytest.raises(TypeError):
+            op(z, flag)
+        with pytest.raises(TypeError):
+            op(flag, z)
+
+    def test_bool_equality_and_hash_match_int(self):
+        # As with Fraction(1) == True: comparison is not arithmetic.
+        one = field_params(1).integer(1)
+        assert one == True  # noqa: E712
+        assert hash(one) == hash(True)
+        assert field_params(3).integer(0) == False  # noqa: E712
 
 
 class TestFieldParams:

@@ -1,3 +1,5 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
 from random import Random
 
@@ -146,6 +148,42 @@ def trace_product(s, h):
     total = s11 * h11 + s12 * h21 + s21 * h12 + s22 * h22
     assert total.y == 0
     return total.x
+
+
+def identity_rows_with(value, i=0, j=0):
+    return tuple(
+        tuple(value if (r, c) == (i, j) else int(r == c) for c in range(4)) for r in range(4)
+    )
+
+
+class TestOnlyExactEntries:
+    NOT_EXACT = [0.5, "1/2", True, Decimal("0.5"), None]
+
+    @pytest.mark.parametrize("bad", NOT_EXACT, ids=repr)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: HermitianK(v, 0, field_params(1).integer(0)),
+            lambda v: HermitianK(0, v, field_params(3).integer(1)),
+            lambda v: OrthoMap(1, identity_rows_with(v)),
+        ],
+        ids=["HermitianK.s1", "HermitianK.s2", "OrthoMap.rows"],
+    )
+    def test_rejected_with_the_value_named(self, build, bad):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            build(bad)
+
+    @pytest.mark.parametrize("i", range(4))
+    @pytest.mark.parametrize("j", range(4))
+    def test_every_orthomap_entry_checked(self, i, j):
+        with pytest.raises(TypeError, match="0.5"):
+            OrthoMap(2, identity_rows_with(0.5, i, j))
+
+    def test_int_and_fraction_accepted(self):
+        assert OrthoMap(1, identity_rows_with(Fraction(1))) == OrthoMap.identity(1)
+        h = HermitianK(Fraction(1, 2), 3, field_params(1).integer(0))
+        assert (h.s1, h.s2) == (Fraction(1, 2), Fraction(3))
+        assert all(type(x) is Fraction for x in (h.s1, h.s2))
 
 
 class TestQuadraticForm:
