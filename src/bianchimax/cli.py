@@ -40,11 +40,6 @@ class CommandResult:
         self.payload = payload
         self.diagnostics = [] if diagnostics is None else diagnostics
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CommandResult):
-            return NotImplemented
-        return vars(self) == vars(other)
-
     @property
     def exit_code(self) -> int:
         return EXIT_CODES.get(self.status, 0)
@@ -60,7 +55,10 @@ def _read_json(args: argparse.Namespace) -> Any:
             text = handle.read()
     else:
         text = sys.stdin.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON nests too deeply") from None
 
 
 def cmd_vd(args: argparse.Namespace) -> CommandResult:

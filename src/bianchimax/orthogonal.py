@@ -5,7 +5,10 @@ quadratic form carry a fixed Z-basis
 
     H1 = diag(1, 0),  H2 = diag(0, 1),  H3 = offdiag(1),  H4 = offdiag(theta),
 
-whose Z-span is the lattice of integral Hermitian matrices.  Conjugation
+whose Z-span is the lattice of integral Hermitian matrices.  Every Hermitian
+matrix in this module is its coordinate 4-vector (s1, s2, a, b) on that
+basis, where s = a + b*theta, and a map of the space is the 4x4 matrix that
+acts on those coordinates; q(v) = v^t G v with G the Gram matrix.  Conjugation
 H -> M H conj(M)^tr by a unit-determinant matrix M = (1/sqrt(f))*A acts on
 this basis through exact rational 4x4 matrices (the sqrt(f) cancels); the
 map is the 2-to-1 spin homomorphism onto the identity component of the
@@ -35,66 +38,19 @@ Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
 Mat4 = tuple[Vec4, Vec4, Vec4, Vec4]
 
 
+def _require_vec4(v: Vec4) -> None:
+    if len(v) != 4:
+        raise ValueError(f"Hermitian coordinate vectors have 4 entries, got {len(v)}")
+    for x in v:
+        _require_exact(x)
+
+
 class LiftError(ValueError):
     """Lift failure with the stage that rejected the input."""
 
     def __init__(self, stage: str, message: str) -> None:
         super().__init__(message)
         self.stage = stage
-
-
-class HermitianK:
-    """[[s1, s], [conj(s), s2]] with rational diagonal and s in K."""
-
-    __slots__ = ("m", "s1", "s2", "s")
-
-    def __init__(self, s1: int | Fraction, s2: int | Fraction, s: KElement) -> None:
-        _require_exact(s1)
-        _require_exact(s2)
-        object.__setattr__(self, "m", s.m)
-        object.__setattr__(self, "s1", Fraction(s1))
-        object.__setattr__(self, "s2", Fraction(s2))
-        object.__setattr__(self, "s", s)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HermitianK is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HermitianK):
-            return NotImplemented
-        return (self.m, self.s1, self.s2, self.s) == (other.m, other.s1, other.s2, other.s)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.s1, self.s2, self.s))
-
-    def __repr__(self) -> str:
-        return f"HermitianK(s1={self.s1!s}, s2={self.s2!s}, s={self.s!s})"
-
-    def q(self) -> Fraction:
-        """The quadratic form: det H = s1*s2 - N(s)."""
-        return self.s1 * self.s2 - self.s.norm()
-
-    def trace(self) -> Fraction:
-        return self.s1 + self.s2
-
-    def coords(self) -> Vec4:
-        a, b = self.s.theta_coords()
-        return (self.s1, self.s2, a, b)
-
-    @classmethod
-    def from_coords(cls, params: FieldParams, v: Vec4) -> "HermitianK":
-        return cls(v[0], v[1], params.from_theta_coords(v[2], v[3]))
-
-
-def hermitian_basis(params: FieldParams) -> tuple[HermitianK, ...]:
-    """The fixed Z-basis (H1, H2, H3, H4) of the integral Hermitian lattice."""
-    zero = params.integer(0)
-    return (
-        HermitianK(1, 0, zero),
-        HermitianK(0, 1, zero),
-        HermitianK(0, 0, params.integer(1)),
-        HermitianK(0, 0, params.theta),
-    )
 
 
 @lru_cache(maxsize=None)
@@ -133,18 +89,8 @@ def _mat_mul(a: Mat4, b: Mat4) -> Mat4:
     )  # type: ignore[return-value]
 
 
-def _mat_vec(a: Mat4, v: Vec4) -> Vec4:
-    return tuple(sum(a[i][k] * v[k] for k in range(4)) for i in range(4))  # type: ignore[return-value]
-
-
 def _transpose(a: Mat4) -> Mat4:
     return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))  # type: ignore[return-value]
-
-
-def _identity4() -> Mat4:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(4)) for i in range(4)
-    )  # type: ignore[return-value]
 
 
 def _det4(a: Mat4) -> Fraction:
@@ -201,7 +147,8 @@ class OrthoMap:
 
     @classmethod
     def identity(cls, m: int) -> "OrthoMap":
-        return cls(m, _identity4())
+        rows = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+        return cls(m, rows)  # type: ignore[arg-type]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrthoMap):
@@ -228,13 +175,11 @@ class OrthoMap:
         g_inverse_pt = _mat_mul(_gram_inverse(self.m), _transpose(self.rows))
         return OrthoMap(self.m, _mat_mul(g_inverse_pt, gram_matrix(self.m)))
 
-    def apply_coords(self, v: Vec4) -> Vec4:
-        return _mat_vec(self.rows, tuple(Fraction(x) for x in v))
-
-    def apply(self, h: HermitianK) -> HermitianK:
-        if h.m != self.m:
-            raise ValueError(f"mixed fields: m={self.m} vs m={h.m}")
-        return HermitianK.from_coords(field_params(self.m), self.apply_coords(h.coords()))
+    def apply(self, v: Vec4) -> Vec4:
+        """The coordinates of the image of the Hermitian matrix with coordinates v."""
+        _require_vec4(v)
+        image = tuple(sum(x * y for x, y in zip(row, v)) for row in self.rows)
+        return image  # type: ignore[return-value]
 
     def determinant(self) -> Fraction:
         return _det4(self.rows)
@@ -320,59 +265,53 @@ def preserves_lattice(phi_map: OrthoMap) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _dual_offdiag_generators(m: int) -> tuple[KElement, KElement]:
-    """Z-generators of the off-diagonal part (1/sqrt(d_K)) O_K of the dual lattice.
+def _dual_coords(m: int) -> tuple[Vec4, ...]:
+    """Coordinates of a Z-basis of the dual lattice under the trace pairing.
 
-    sqrt(d_K) = k*sqrt(-m) with k**2 = |d_K|/m, so the set equals
-    (sqrt(-m)/(k*m)) O_K inside K.
+    The diagonal part is Z H1 + Z H2.  The off-diagonal part is
+    (1/sqrt(d_K)) O_K, and sqrt(d_K) = k*sqrt(-m) with k**2 = |d_K|/m, so
+    it is spanned by sigma and sigma*theta with sigma = sqrt(-m)/(k*m).
     """
     params = field_params(m)
     k = isqrt(abs(params.d_K) // m)
     sigma = KElement(m, 0, Fraction(1, k * m))
-    return sigma, sigma * params.theta
-
-
-def dual_basis(params: FieldParams) -> tuple[HermitianK, ...]:
-    """A Z-basis of the dual lattice under the trace pairing."""
-    zero = params.integer(0)
-    sigma1, sigma2 = _dual_offdiag_generators(params.m)
+    zero, one = Fraction(0), Fraction(1)
     return (
-        HermitianK(1, 0, zero),
-        HermitianK(0, 1, zero),
-        HermitianK(0, 0, sigma1),
-        HermitianK(0, 0, sigma2),
+        (one, zero, zero, zero),
+        (zero, one, zero, zero),
+        (zero, zero) + sigma.theta_coords(),
+        (zero, zero) + (sigma * params.theta).theta_coords(),
     )
 
 
-def in_dual_lattice(h: HermitianK) -> bool:
+def dual_basis(params: FieldParams) -> tuple[Vec4, ...]:
+    """A Z-basis of the dual lattice under the trace pairing, as coordinates."""
+    return _dual_coords(params.m)
+
+
+def in_dual_lattice(params: FieldParams, v: Vec4) -> bool:
     """Membership in the dual lattice: integral diagonal, s in (1/sqrt(d_K))O_K.
 
-    With sqrt(d_K) = k*sqrt(-m), the off-diagonal condition is
-    k*sqrt(-m)*s in O_K, and sqrt(-m)*(x + y*sqrt(-m)) = -m*y + x*sqrt(-m).
+    Here s is the off-diagonal entry v[2] + v[3]*theta.  With sqrt(d_K) =
+    k*sqrt(-m), the condition is k*sqrt(-m)*s in O_K, and
+    sqrt(-m)*(x + y*sqrt(-m)) = -m*y + x*sqrt(-m).
     """
-    m, s = h.m, h.s
-    k = isqrt(abs(field_params(m).d_K) // m)
+    _require_vec4(v)
+    m, s = params.m, params.from_theta_coords(v[2], v[3])
+    k = isqrt(abs(params.d_K) // m)
     return (
-        h.s1.denominator == 1
-        and h.s2.denominator == 1
+        v[0].denominator == 1
+        and v[1].denominator == 1
         and KElement(m, -k * m * s.y, k * s.x).is_integral()
     )
 
 
 def dual_lattice_index(params: FieldParams) -> int:
     """Index of the integral Hermitian lattice in its dual; equals |d_K|."""
-    cols = [h.coords() for h in dual_basis(params)]
-    mat = tuple(tuple(cols[j][i] for j in range(4)) for i in range(4))
-    det = _det4(mat)  # type: ignore[arg-type]
-    index = 1 / abs(det)
+    index = 1 / abs(_det4(dual_basis(params)))  # type: ignore[arg-type]
     if index.denominator != 1:
         raise AssertionError("dual basis does not contain the lattice")
     return int(index)
-
-
-@lru_cache(maxsize=None)
-def _dual_coords(m: int) -> tuple[Vec4, ...]:
-    return tuple(g.coords() for g in dual_basis(field_params(m)))
 
 
 def in_discriminant_kernel(phi_map: OrthoMap) -> bool:

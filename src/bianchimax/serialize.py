@@ -15,7 +15,7 @@ from typing import Any
 
 from .field import KElement, field_params
 from .matrices import ExtendedMatrix
-from .orthogonal import HermitianK, OrthoMap
+from .orthogonal import OrthoMap
 
 
 def fraction_to_str(q: Fraction) -> str:
@@ -109,29 +109,3 @@ def orthomap_from_json(obj: Any) -> OrthoMap:
     values = [fraction_from_str(x) for x in flat]
     rows = tuple(tuple(values[4 * i + j] for j in range(4)) for i in range(4))
     return OrthoMap(m, rows)  # type: ignore[arg-type]
-
-
-def hermitian_to_json(h: HermitianK) -> dict[str, Any]:
-    return {
-        "m": h.m,
-        "s1": fraction_to_str(h.s1),
-        "s2": fraction_to_str(h.s2),
-        "s": kelement_to_json(h.s),
-    }
-
-
-def hermitian_from_json(obj: Any) -> HermitianK:
-    if not isinstance(obj, dict):
-        raise ValueError("Hermitian JSON must be an object")
-    for key in ("m", "s1", "s2", "s"):
-        if key not in obj:
-            raise ValueError(f"Hermitian JSON is missing key {key!r}")
-    m = obj["m"]
-    if not _is_int(m):
-        raise ValueError("Hermitian JSON key 'm' must be an integer")
-    field_params(m)
-    return HermitianK(
-        fraction_from_str(obj["s1"]),
-        fraction_from_str(obj["s2"]),
-        kelement_from_json(m, obj["s"]),
-    )

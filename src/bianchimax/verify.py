@@ -30,6 +30,7 @@ from .involutions import (
 )
 from .matrices import ExtendedMatrix, is_algebraic_integer
 from .orthogonal import (
+    LiftError,
     OrthoMap,
     _in_discriminant_kernel,
     dual_basis,
@@ -342,7 +343,7 @@ def suite_orthogonal_lattice(ctx: _Context) -> SuiteResult:
             )
             for g in duals:
                 res.check(
-                    in_dual_lattice(image.apply(g)),
+                    in_dual_lattice(params, image.apply(g)),
                     lambda mat=mat: f"image of {mat!r} moves the dual lattice",
                 )
     return res
@@ -358,8 +359,15 @@ def suite_orthogonal_lift(ctx: _Context) -> SuiteResult:
     samples += [random_zero_corner_element(rng, params, f) for f in (1, 2) for _ in range(3 * n)]
     divisors = squarefree_divisors(params.d_K)
     samples += [random_coset_element(rng, params, rng.choice(divisors)) for _ in range(10 * n)]
+    # A lift or classification that raises is one failed check, not an abort.
     for mat in samples:
-        lifted = spin_lift(spin_map(mat))
+        try:
+            lifted = spin_lift(spin_map(mat))
+        except LiftError as exc:
+            res.check(False, lambda mat=mat, exc=exc: (
+                f"lift of the image of {mat!r} failed at stage {exc.stage}: {exc}"
+            ))
+            continue
         res.check(
             lifted == sign_normalize(mat),
             lambda mat=mat, lifted=lifted: f"lift of the image of {mat!r} gave {lifted!r}",
@@ -367,12 +375,18 @@ def suite_orthogonal_lift(ctx: _Context) -> SuiteResult:
     # Products of images stay liftable and classify inside the extension.
     for _ in range(5 * n):
         d = rng.choice(divisors)
-        product = spin_map(random_coset_element(rng, params, d)) * spin_map(
-            random_unimodular(rng, params)
-        )
-        lifted = spin_lift(product)
+        mat, unimodular = random_coset_element(rng, params, d), random_unimodular(rng, params)
+        try:
+            lifted = spin_lift(spin_map(mat) * spin_map(unimodular))
+            label = classify_coset(lifted)
+        except ValueError as exc:
+            stage = exc.stage if isinstance(exc, LiftError) else "classification"
+            res.check(False, lambda mat=mat, u=unimodular, exc=exc, stage=stage: (
+                f"lifted product of the images of {mat!r} and {u!r} failed at stage {stage}: {exc}"
+            ))
+            continue
         res.check(
-            classify_coset(lifted) == d,
+            label == d,
             lambda d=d, lifted=lifted: f"lifted product not in coset {d}: {lifted!r}",
         )
     return res

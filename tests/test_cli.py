@@ -202,6 +202,39 @@ class TestVerify:
         assert {s["m"] for s in payload["suites"]} == {1, 3}
 
 
+    def test_failed_lift_is_a_counted_failure(self, capsys, monkeypatch):
+        from bianchimax import LiftError, verify
+
+        real_lift, calls = verify.spin_lift, []
+
+        def lift_failing_on_seventh_call(phi_map):
+            calls.append(phi_map)
+            if len(calls) == 7:
+                raise LiftError("root", "planted")
+            return real_lift(phi_map)
+
+        monkeypatch.setattr(verify, "spin_lift", lift_failing_on_seventh_call)
+        code, out, _ = run_cli(capsys, monkeypatch, ["verify", "--m", "3", "--height", "1"])
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert len(payload["suites"]) == 10
+        failed = {s["name"]: s for s in payload["suites"] if s["failed"]}
+        assert list(failed) == ["orthogonal.lift"]
+        assert failed["orthogonal.lift"]["failed"] >= 1
+        assert any("root" in c for c in failed["orthogonal.lift"]["counterexamples"])
+
+    def test_unclassifiable_lifted_product_is_a_counted_failure(self, monkeypatch):
+        from bianchimax import verify
+
+        def not_a_member(mat):
+            raise ValueError("matrix is not in the maximal discrete extension")
+
+        monkeypatch.setattr(verify, "classify_coset", not_a_member)
+        res = verify.suite_orthogonal_lift(verify._Context(3, 1, 0))
+        assert (res.passed, res.failed) == (31, 5)
+        assert all("stage classification" in c for c in res.counterexamples)
+
     def test_stdout_golden(self, capsys, monkeypatch):
         # The output is byte-stable: any change to a suite's samples, checks or
         # counts changes this sha256.
@@ -307,3 +340,35 @@ def test_run_suites_rejects_height_outside_1_to_3(height):
 
     with pytest.raises(ValueError, match=f"height {height} is outside 1..3"):
         run_suites([1], height=height)
+
+
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize(
+    "command,text",
+    [
+        (["classify"], DEEP),
+        (["phi"], '{"m": 1, "f": 1, "A": ' + DEEP + "}"),
+        (["lift", "--file"], '{"m": 1, "P": ' + DEEP + "}"),
+    ],
+    ids=["classify", "phi", "lift-file"],
+)
+def test_deeply_nested_json_is_a_named_error(command, text, tmp_path):
+    import subprocess
+    import sys
+
+    if command[-1] == "--file":
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        command, text = [*command, str(path)], None
+    result = subprocess.run(
+        [sys.executable, "-m", "bianchimax", *command],
+        input=text,
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert result.returncode == 1
+    assert json.loads(result.stdout) == {"error": "input JSON nests too deeply"}
+    assert "Traceback" not in result.stderr

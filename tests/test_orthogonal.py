@@ -7,7 +7,6 @@ import pytest
 
 from bianchimax import (
     ExtendedMatrix,
-    HermitianK,
     KElement,
     LiftError,
     OrthoMap,
@@ -17,7 +16,6 @@ from bianchimax import (
     dual_lattice_index,
     field_params,
     gram_matrix,
-    hermitian_basis,
     in_discriminant_kernel,
     in_dual_lattice,
     k_square_root,
@@ -38,6 +36,8 @@ from bianchimax.sampling import (
 )
 
 
+# The fixed basis H1..H4 in its own coordinates.
+BASIS = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
 DIAG_2111 = OrthoMap(1, ((2, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
 # Fields with theta trace t = 0 (m = 1, 2 mod 4) and t = 1 (m = 3 mod 4).
 NINE_FIELDS = [1, 2, 3, 5, 6, 7, 10, 11, 15]
@@ -115,39 +115,62 @@ def signature(gram):
     return pos, neg
 
 
+def hermitian(params, v):
+    """The entries (s1, s2, s) of the Hermitian matrix [[s1, s], [conj(s), s2]]
+    with fixed-basis coordinates v."""
+    return Fraction(v[0]), Fraction(v[1]), params.from_theta_coords(v[2], v[3])
+
+
+def hermitian_coords(s1, s2, s):
+    return (s1, s2) + s.theta_coords()
+
+
+def q(s1, s2, s):
+    """The quadratic form det H = s1*s2 - N(s)."""
+    return s1 * s2 - s.norm()
+
+
 def conjugate_hermitian(mat, h):
     """Oracle: A H conj(A)^tr / f for mat = (1/sqrt(f))A, by KElement products."""
     a, b, c, d = mat.entries
     params = field_params(mat.m)
-    h11, h12, h21, h22 = params.element(h.s1, 0), h.s, h.s.conjugate(), params.element(h.s2, 0)
+    s1, s2, s = h
+    h11, h12, h21, h22 = params.element(s1, 0), s, s.conjugate(), params.element(s2, 0)
     p11, p12 = a * h11 + b * h21, a * h12 + b * h22
     p21, p22 = c * h11 + d * h21, c * h12 + d * h22
     r11 = p11 * a.conjugate() + p12 * b.conjugate()
     r12 = p11 * c.conjugate() + p12 * d.conjugate()
     r22 = p21 * c.conjugate() + p22 * d.conjugate()
     assert r11.y == 0 and r22.y == 0
-    return HermitianK(r11.x / mat.f, r22.x / mat.f, r12 / mat.f)
+    return r11.x / mat.f, r22.x / mat.f, r12 / mat.f
 
 
 def spin_map_oracle(mat):
     """spin_map recomputed by conjugating each basis matrix."""
-    cols = [conjugate_hermitian(mat, h).coords() for h in hermitian_basis(field_params(mat.m))]
+    params = field_params(mat.m)
+    cols = [hermitian_coords(*conjugate_hermitian(mat, hermitian(params, v))) for v in BASIS]
     return OrthoMap(mat.m, tuple(tuple(cols[j][i] for j in range(4)) for i in range(4)))
 
 
-def hermitian_as_complex_pair(h):
-    """The four entries (h11, h12, h21, h22) as K-elements."""
-    m = h.m
-    return (k(m, h.s1), h.s, h.s.conjugate(), k(m, h.s2))
+def hermitian_entries(h):
+    """The four entries (h11, h12, h21, h22) of h = (s1, s2, s) as K-elements."""
+    s1, s2, s = h
+    return (k(s.m, s1), s, s.conjugate(), k(s.m, s2))
 
 
 def trace_product(s, h):
     """trace(S*H) for Hermitian S, H as an element of K (must come out rational)."""
-    s11, s12, s21, s22 = hermitian_as_complex_pair(s)
-    h11, h12, h21, h22 = hermitian_as_complex_pair(h)
+    s11, s12, s21, s22 = hermitian_entries(s)
+    h11, h12, h21, h22 = hermitian_entries(h)
     total = s11 * h11 + s12 * h21 + s21 * h12 + s22 * h22
     assert total.y == 0
     return total.x
+
+
+def gram_q(m, v):
+    """q(v) = v^t G v through the library's Gram matrix."""
+    gram = gram_matrix(m)
+    return sum(v[i] * gram[i][j] * v[j] for i in range(4) for j in range(4))
 
 
 def identity_rows_with(value, i=0, j=0):
@@ -158,20 +181,34 @@ def identity_rows_with(value, i=0, j=0):
 
 class TestOnlyExactEntries:
     NOT_EXACT = [0.5, "1/2", True, Decimal("0.5"), None]
+    # The two functions that read a coordinate vector from the caller.
+    VECTOR_READERS = pytest.mark.parametrize(
+        "read",
+        [lambda v: OrthoMap.identity(3).apply(v), lambda v: in_dual_lattice(field_params(3), v)],
+        ids=["OrthoMap.apply", "in_dual_lattice"],
+    )
 
     @pytest.mark.parametrize("bad", NOT_EXACT, ids=repr)
     @pytest.mark.parametrize(
-        "build",
-        [
-            lambda v: HermitianK(v, 0, field_params(1).integer(0)),
-            lambda v: HermitianK(0, v, field_params(3).integer(1)),
-            lambda v: OrthoMap(1, identity_rows_with(v)),
-        ],
-        ids=["HermitianK.s1", "HermitianK.s2", "OrthoMap.rows"],
+        "build", [lambda v: OrthoMap(1, identity_rows_with(v))], ids=["OrthoMap.rows"]
     )
     def test_rejected_with_the_value_named(self, build, bad):
         with pytest.raises(TypeError, match=re.escape(repr(bad))):
             build(bad)
+
+    @pytest.mark.parametrize("bad", NOT_EXACT, ids=repr)
+    @pytest.mark.parametrize("i", range(4))
+    @VECTOR_READERS
+    def test_vector_entry_rejected_with_the_value_named(self, read, i, bad):
+        v = tuple(bad if j == i else 0 for j in range(4))
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            read(v)
+
+    @pytest.mark.parametrize("v", [(), (1, 0, 0), (1, 0, 0, 0, 0)], ids=lambda v: f"len{len(v)}")
+    @VECTOR_READERS
+    def test_vector_of_wrong_length_rejected(self, read, v):
+        with pytest.raises(ValueError, match="4 entries"):
+            read(v)
 
     @pytest.mark.parametrize("i", range(4))
     @pytest.mark.parametrize("j", range(4))
@@ -181,21 +218,21 @@ class TestOnlyExactEntries:
 
     def test_int_and_fraction_accepted(self):
         assert OrthoMap(1, identity_rows_with(Fraction(1))) == OrthoMap.identity(1)
-        h = HermitianK(Fraction(1, 2), 3, field_params(1).integer(0))
-        assert (h.s1, h.s2) == (Fraction(1, 2), Fraction(3))
-        assert all(type(x) is Fraction for x in (h.s1, h.s2))
+        image = OrthoMap.identity(1).apply((Fraction(1, 2), 3, 0, 1))
+        assert image == (Fraction(1, 2), Fraction(3), 0, 1)
+        assert all(type(x) is Fraction for x in image)
+        # for m = 1 the off-diagonal dual part is (1/2)Z[i]
+        assert in_dual_lattice(field_params(1), (1, Fraction(-2), 0, Fraction(1, 2)))
 
 
 class TestQuadraticForm:
     def test_q_of_identity_matrix(self):
-        params = field_params(1)
-        e = HermitianK(1, 1, params.integer(0))
-        assert e.q() == 1
+        e = (1, 1, 0, 0)
+        assert q(*hermitian(field_params(1), e)) == gram_q(1, e) == 1
 
     def test_q_of_offdiag_theta_m1(self):
-        params = field_params(1)
-        h4 = hermitian_basis(params)[3]
-        assert h4.q() == -1
+        h4 = BASIS[3]
+        assert q(*hermitian(field_params(1), h4)) == gram_q(1, h4) == -1
 
     def test_gram_m1_frozen(self):
         half = Fraction(1, 2)
@@ -209,15 +246,10 @@ class TestQuadraticForm:
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 11])
     def test_gram_reproduces_q(self, m):
         params = field_params(m)
-        gram = gram_matrix(m)
         rng = Random(f"gram:{m}")
         for _ in range(20):
             coords = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)]
-            h = HermitianK.from_coords(params, tuple(coords))
-            via_gram = sum(
-                coords[i] * gram[i][j] * coords[j] for i in range(4) for j in range(4)
-            )
-            assert via_gram == h.q()
+            assert gram_q(m, coords) == q(*hermitian(params, coords))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 11, 15])
     def test_signature_1_3(self, m):
@@ -417,8 +449,8 @@ class TestDualLattice:
         # every dual generator pairs integrally with every lattice generator
         params = field_params(m)
         for s in dual_basis(params):
-            for h in hermitian_basis(params):
-                assert trace_product(s, h).denominator == 1
+            for h in BASIS:
+                assert trace_product(hermitian(params, s), hermitian(params, h)).denominator == 1
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_dual_membership_matches_trace_condition(self, m):
@@ -432,25 +464,22 @@ class TestDualLattice:
                 Fraction(rng.randint(-12, 12), denominator),
                 Fraction(rng.randint(-12, 12), denominator),
             )
-            h = HermitianK(rng.randint(-2, 2), rng.randint(-2, 2), s)
+            v = hermitian_coords(rng.randint(-2, 2), rng.randint(-2, 2), s)
             by_trace = (
                 s.trace().denominator == 1
                 and (s * theta_bar).trace().denominator == 1
             )
-            assert in_dual_lattice(h) == by_trace
+            assert in_dual_lattice(params, v) == by_trace
 
     def test_diagonal_generators_self_dual(self):
-        params = field_params(5)
-        duals = dual_basis(params)
-        assert duals[0] == hermitian_basis(params)[0]
-        assert duals[1] == hermitian_basis(params)[1]
+        duals = dual_basis(field_params(5))
+        assert duals[:2] == BASIS[:2]
 
     def test_m1_offdiagonal_denominator(self):
         # for m = 1 the off-diagonal dual part is (1/2)Z[i]
-        duals = dual_basis(field_params(1))
-        assert {abs(duals[2].s.x) + abs(duals[2].s.y), abs(duals[3].s.x) + abs(duals[3].s.y)} == {
-            Fraction(1, 2)
-        }
+        params = field_params(1)
+        offdiag = [hermitian(params, v)[2] for v in dual_basis(params)[2:]]
+        assert {abs(s.x) + abs(s.y) for s in offdiag} == {Fraction(1, 2)}
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
     def test_lattice_preserving_maps_fix_dual(self, m):
@@ -459,7 +488,7 @@ class TestDualLattice:
         for d in squarefree_divisors(params.d_K):
             image = spin_map(random_coset_element(rng, params, d))
             for g in dual_basis(params):
-                assert in_dual_lattice(image.apply(g))
+                assert in_dual_lattice(params, image.apply(g))
 
 
 class TestDiscriminantKernel:

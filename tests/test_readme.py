@@ -1,0 +1,65 @@
+"""The README's library quick start and its CLI examples run as shown."""
+
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
+def fenced_block(heading, language):
+    """The first ```language block after the given heading."""
+    section = README[README.index(heading):]
+    marker = f"```{language}\n"
+    start = section.index(marker) + len(marker)
+    return section[start:section.index("```", start)]
+
+
+def cli_examples():
+    """(command, shown output) for each `$ bianchimax` example shown in full."""
+    lines = fenced_block("## CLI", "sh").splitlines()
+    return [
+        (command[2:], shown)
+        for command, shown in zip(lines, lines[1:])
+        if command.startswith("$ bianchimax ") and "..." not in shown
+    ]
+
+
+def test_library_quick_start_runs():
+    result = subprocess.run(
+        [sys.executable, "-c", fenced_block("## Library quick start", "python")],
+        capture_output=True,
+        text=True,
+        env=ENV,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_examples_found():
+    assert len(cli_examples()) >= 4
+
+
+@pytest.mark.parametrize("pipeline,shown", cli_examples(), ids=[c for c, _ in cli_examples()])
+def test_cli_example_output(pipeline, shown):
+    out = None
+    for stage in pipeline.split(" | "):
+        program, *args = shlex.split(stage)
+        assert program == "bianchimax"
+        result = subprocess.run(
+            [sys.executable, "-m", "bianchimax", *args],
+            input=out,
+            capture_output=True,
+            text=True,
+            env=ENV,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        out = result.stdout
+    assert out == shown + "\n"

@@ -5,12 +5,9 @@ from random import Random
 import pytest
 
 from bianchimax import (
-    HermitianK,
     KElement,
     atkin_lehner,
     field_params,
-    hermitian_from_json,
-    hermitian_to_json,
     kelement_from_json,
     kelement_to_json,
     matrix_from_json,
@@ -135,20 +132,3 @@ class TestOrthoMapJson:
             orthomap_from_json(dict(obj, m=True))
         with pytest.raises(ValueError, match="rational"):
             orthomap_from_json(dict(obj, P=["1e0"] + obj["P"][1:]))
-
-
-class TestHermitianJson:
-    def test_round_trip(self):
-        h = HermitianK(2, Fraction(-1, 3), KElement(3, Fraction(1, 2), Fraction(5, 2)))
-        obj = hermitian_to_json(h)
-        assert hermitian_from_json(obj) == h
-        assert obj["s1"] == "2" and obj["s2"] == "-1/3"
-
-    def test_missing_key(self):
-        with pytest.raises(ValueError, match="missing"):
-            hermitian_from_json({"m": 3, "s1": "1", "s2": "1"})
-
-    def test_bool_m_rejected(self):
-        obj = hermitian_to_json(HermitianK(1, 2, KElement(1, 0, 1)))
-        with pytest.raises(ValueError, match="integer"):
-            hermitian_from_json(dict(obj, m=True))
