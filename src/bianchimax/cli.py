@@ -36,7 +36,7 @@ EXIT_CODES = {"error": 1, "internal_error": 3}
 
 class CommandResult:
     def __init__(self, status: str, payload: Any, diagnostics: list[str] | None = None) -> None:
-        self.status = status  # "ok" | "member_no" | "error" | "internal_error"
+        self.status = status  # "ok" | "error" | "internal_error"
         self.payload = payload
         self.diagnostics = [] if diagnostics is None else diagnostics
 
@@ -74,7 +74,7 @@ def cmd_vd(args: argparse.Namespace) -> CommandResult:
 def cmd_classify(args: argparse.Namespace) -> CommandResult:
     mat = matrix_from_json(_read_json(args))
     if not in_maximal_extension(mat):
-        return CommandResult(status="member_no", payload={"member": False})
+        return CommandResult(status="ok", payload={"member": False})
     return CommandResult(status="ok", payload={"member": True, "label": classify_coset(mat)})
 
 

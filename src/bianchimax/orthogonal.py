@@ -404,78 +404,50 @@ def sign_normalize(mat: ExtendedMatrix) -> ExtendedMatrix:
     return mat if _first_entry_sign(mat) > 0 else -mat
 
 
-def _solve_theta_system(params: FieldParams, plain: KElement, twisted: KElement) -> KElement:
-    """Solve X + Y = plain, theta*X + conj(theta)*Y = twisted for X."""
+def _solve_theta_system(
+    params: FieldParams, plain: KElement, twisted: KElement
+) -> tuple[KElement, KElement]:
+    """Solve X + Y = plain, theta*X + conj(theta)*Y = twisted for (X, Y)."""
     theta = params.theta
     theta_bar = theta.conjugate()
-    return (theta_bar * plain - twisted) / (theta_bar - theta)
-
-
-@lru_cache(maxsize=None)
-def _j_inverse(m: int) -> ExtendedMatrix:
-    """The inverse [[0, 1], [-1, 0]] of J = [[0, -1], [1, 0]]."""
-    params = field_params(m)
-    zero, one = params.integer(0), params.integer(1)
-    return ExtendedMatrix.from_integral(1, ((zero, one), (-one, zero)))
-
-
-def _twisted_columns(t: int, cols: Mat4) -> Mat4:
-    """The image columns of phi * spin_map(J), J = [[0, -1], [1, 0]], from
-    the image columns (c1, c2, c3, c4) of phi.
-
-    J maps H1, H2, H3, H4 to H2, H1, -H3, H4 - t*H3, with t the trace of theta.
-    """
-    c1, c2, c3, c4 = cols
-    neg_c3 = tuple(-x for x in c3)
-    return (c2, c1, neg_c3, tuple(x - t * y for x, y in zip(c4, c3)))  # type: ignore[return-value]
+    x = (theta_bar * plain - twisted) / (theta_bar - theta)
+    return x, plain - x
 
 
 def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
+    """A matrix whose spin image is phi_map, anchored on an entry e of its first row.
+
+    By spin_map's formulas the image columns c1..c4 of H1..H4 hold every product
+    of two entries of A = [[a, b], [c, d]] divided by f = det A: |a|^2, a*conj(c),
+    |b|^2 and b*conj(d) in c1, c2; a*conj(b) in the first coordinates of c3, c4;
+    a*conj(d) and b*conj(c) in their off-diagonal parts.  Take e = a if |a|^2 != 0,
+    else e = b (a zero first row would make det A vanish).  Then p_y = e*conj(y)/f
+    has p_a*p_d - p_b*p_c = e**2/f, whose root x/sqrt(f) stands for e, and each
+    entry y is conj(p_y)*f/conj(x).
+    """
     params = field_params(phi_map.m)
-    # Column j of the rows is the image of H_j.
-    cols: Mat4 = tuple(zip(*phi_map.rows))  # type: ignore[assignment]
-    if cols[0][0] != 0:
-        return _lift_columns(params, cols)
-    if cols[1][0] == 0:
-        raise LiftError("root", "both candidate columns vanish; no lift exists")
-    twisted = _twisted_columns(params.theta_trace, cols)
-    return _lift_columns(params, twisted) * _j_inverse(params.m)
-
-
-def _lift_columns(params: FieldParams, cols: Mat4) -> ExtendedMatrix:
-    """The lift from the image columns of H1..H4, when the (1,1) entry of
-    the image of H1 is nonzero."""
-    c1, _, c3, c4 = cols
-    # P(H1) = [[a*conj(a), a*conj(c)], [., c*conj(c)]] for the lifted columns.
-    alpha_abs2 = c1[0]
-    alpha_gamma_bar = params.from_theta_coords(c1[2], c1[3])
-    # The (1,1) and (1,2) entries of P(H3), P(H4) give two linear systems with
-    # the invertible matrix ((1,1),(theta,conj(theta))).
-    alpha_beta_bar = _solve_theta_system(
-        params, params.element(c3[0], 0), params.element(c4[0], 0)
+    c1, c2, c3, c4 = zip(*phi_map.rows)
+    a_bbar, _ = _solve_theta_system(params, params.element(c3[0], 0), params.element(c4[0], 0))
+    a_dbar, b_cbar = _solve_theta_system(
+        params, params.from_theta_coords(*c3[2:]), params.from_theta_coords(*c4[2:])
     )
-    alpha_delta_bar = _solve_theta_system(
-        params,
-        params.from_theta_coords(c3[2], c3[3]),
-        params.from_theta_coords(c4[2], c4[3]),
-    )
-
-    alpha_sq = (
-        KElement(params.m, alpha_abs2, 0) * alpha_delta_bar
-        - alpha_beta_bar * alpha_gamma_bar
-    )
-    root = k_square_root(alpha_sq)
+    if c1[0] != 0:
+        products = (params.element(c1[0], 0), a_bbar, params.from_theta_coords(*c1[2:]), a_dbar)
+    else:
+        products = (
+            a_bbar.conjugate(), params.element(c2[0], 0), b_cbar, params.from_theta_coords(*c2[2:])
+        )
+    p_a, p_b, p_c, p_d = products
+    root = k_square_root(p_a * p_d - p_b * p_c)
     if root is None:
-        raise LiftError("root", "leading entry squared has no root of the form x/sqrt(f)")
+        raise LiftError("root", "anchor entry squared has no root of the form x/sqrt(f)")
     f, x = root
     if x.is_zero():
-        raise LiftError("root", "leading entry vanished despite a nonzero norm")
-    x_bar = x.conjugate()
-    b = (alpha_beta_bar.conjugate() * f) / x_bar
-    c = (alpha_gamma_bar.conjugate() * f) / x_bar
-    d = (alpha_delta_bar.conjugate() * f) / x_bar
+        raise LiftError("root", "anchor entry vanished despite a nonzero norm")
+    scale = x.conjugate().inverse() * f
+    a, b, c, d = (p.conjugate() * scale for p in products)
     try:
-        return ExtendedMatrix(f, ((x, b), (c, d)))
+        return ExtendedMatrix(f, ((a, b), (c, d)))
     except ValueError as exc:
         raise LiftError("verification", f"recovered matrix is inconsistent: {exc}") from exc
 
@@ -483,13 +455,13 @@ def _lift_columns(params: FieldParams, cols: Mat4) -> ExtendedMatrix:
 def spin_lift(phi_map: OrthoMap) -> ExtendedMatrix:
     """Exact inverse of spin_map, up to the {+-E} kernel ambiguity.
 
-    The images of the basis give back the products a*conj(a), a*conj(b),
-    a*conj(c), a*conj(d) of the unknown first entry with all entries; since
-    the determinant is 1, a**2 equals (a*conj(a))*(a*conj(d)) minus
-    (a*conj(b))*(a*conj(c)), and an exact square root x/sqrt(f) recovers the
-    matrix.  A vanishing first entry is routed through multiplication by
-    [[0,-1],[1,0]].  The result is sign-normalized and verified by mapping it
-    back; failures raise LiftError with the offending stage.
+    The images of the basis give back the products e*conj(y) of one anchor
+    entry e with every entry y, where e is the upper-left entry, or the
+    upper-right one when the upper-left vanishes; since the determinant is 1,
+    e**2 equals (e*conj(a))*(e*conj(d)) minus (e*conj(b))*(e*conj(c)), and an
+    exact square root x/sqrt(f) recovers the matrix.  The result is
+    sign-normalized and verified by mapping it back; failures raise LiftError
+    with the offending stage.
     """
     if not phi_map.is_orthogonal():
         raise LiftError("orthogonality", "matrix does not preserve the quadratic form")

@@ -23,6 +23,17 @@ def fraction_to_str(q: Fraction) -> str:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_QUOTE_LIMIT = 80  # characters of an offending value that an error message repeats
+
+
+def _quote(value: Any) -> str:
+    """repr(value) for an error message, cut to _QUOTE_LIMIT characters plus
+    the length of the value, so that a huge input gives a short message."""
+    text = repr(value)
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    size = len(value) if isinstance(value, (str, list, tuple, dict)) else len(text)
+    return f"{text[:_QUOTE_LIMIT]}... (length {size})"
 
 
 def fraction_from_str(text: str) -> Fraction:
@@ -34,13 +45,15 @@ def fraction_from_str(text: str) -> Fraction:
     not in lowest terms.
     """
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
-        raise ValueError(f"invalid rational string {text!r}")
+        raise ValueError(f"invalid rational string {_quote(text)}")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational string {text!r}") from exc
+        raise ValueError(f"invalid rational string {_quote(text)}") from exc
     if str(value) != text:
-        raise ValueError(f"rational string {text!r} is not canonical, expected {str(value)!r}")
+        raise ValueError(
+            f"rational string {_quote(text)} is not canonical, expected {_quote(str(value))}"
+        )
     return value
 
 
@@ -55,7 +68,7 @@ def kelement_to_json(z: KElement) -> list[str]:
 
 def kelement_from_json(m: int, obj: Any) -> KElement:
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-        raise ValueError(f"field element must be a pair of rational strings, got {obj!r}")
+        raise ValueError(f"field element must be a pair of rational strings, got {_quote(obj)}")
     return KElement(m, fraction_from_str(obj[0]), fraction_from_str(obj[1]))
 
 

@@ -372,3 +372,39 @@ def test_deeply_nested_json_is_a_named_error(command, text, tmp_path):
     assert result.returncode == 1
     assert json.loads(result.stdout) == {"error": "input JSON nests too deeply"}
     assert "Traceback" not in result.stderr
+
+
+HUGE = 10**6
+HUGE_PAIR = '["0", "0"]'
+
+
+@pytest.mark.parametrize(
+    "command,text,error",
+    [
+        (["lift"], '{"m": 1, "P": ["' + "1" * HUGE + '"' + ', "0"' * 15 + "]}",
+         "invalid rational string '1111"),
+        (["classify"],
+         '{"m": 1, "f": 1, "A": [[[' + ", ".join(["0"] * HUGE) + "], " + HUGE_PAIR + "], ["
+         + HUGE_PAIR + ", " + HUGE_PAIR + "]]}",
+         "field element must be a pair of rational strings, got [0, 0"),
+    ],
+    ids=["lift-long-string", "classify-long-list"],
+)
+def test_huge_value_is_quoted_briefly(command, text, error):
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, "-m", "bianchimax", *command],
+        input=text,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 1
+    assert len(result.stdout.encode()) <= 512
+    assert len(result.stderr.encode()) <= 512
+    message = json.loads(result.stdout)["error"]
+    assert message.startswith(error)
+    assert message.endswith(f"... (length {HUGE})")
+    assert "Traceback" not in result.stderr

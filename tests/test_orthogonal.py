@@ -25,7 +25,7 @@ from bianchimax import (
     spin_map,
     squarefree_divisors,
 )
-from bianchimax.orthogonal import _det4, _twisted_columns
+from bianchimax.orthogonal import _det4
 from bianchimax.sampling import (
     integral_matrices_with_det,
     matrix_from_coords,
@@ -72,10 +72,6 @@ def det4_oracle(a):
             if factor:
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return det
-
-
-def columns(phi):
-    return tuple(zip(*phi.rows))
 
 
 def signature(gram):
@@ -571,16 +567,26 @@ class TestKSquareRoot:
 
 
 class TestTwistedRoute:
+    """J = [[0, -1], [1, 0]] swaps the first row's entries: A*J has upper-left
+    entry b.  So the lift anchored on a of phi*spin_map(J) must agree with the
+    lift anchored on b of phi, and J's action on the image columns has the
+    closed form H1, H2, H3, H4 -> H2, H1, -H3, H4 - t*H3."""
+
     @pytest.mark.parametrize("m", NINE_FIELDS)
     def test_closed_form_columns_match_the_product(self, m):
         params = field_params(m)
+        t = params.theta_trace
         rng = Random(f"twisted:{m}")
-        j_image = spin_map(j_matrix(m))
+        j = j_matrix(m)
+        j_image = spin_map(j)
         mats = [random_ambient_element(rng, params) for _ in range(6)]
         mats += [random_zero_corner_element(rng, params, f) for f in (1, 2) for _ in range(3)]
         for mat in mats:
             phi = spin_map(mat)
-            assert _twisted_columns(params.theta_trace, columns(phi)) == columns(phi * j_image)
+            c1, c2, c3, c4 = zip(*phi.rows)
+            twisted = (c2, c1, tuple(-x for x in c3), tuple(x - t * y for x, y in zip(c4, c3)))
+            assert twisted == tuple(zip(*(phi * j_image).rows))
+            assert spin_lift(phi * j_image) == sign_normalize(spin_lift(phi) * j)
 
 
 class TestSpinLift:
