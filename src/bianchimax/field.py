@@ -17,10 +17,21 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 
 _TRIAL_DIVISION_LIMIT = 2**22
+_QUOTE_LIMIT = 80  # characters of an offending value that an error message repeats
+
+
+def _quote(value: Any) -> str:
+    """repr(value) for an error message, cut to _QUOTE_LIMIT characters plus
+    the length of the value, so that a huge input gives a short message."""
+    text = repr(value)
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    size = len(value) if isinstance(value, (str, list, tuple, dict)) else len(text)
+    return f"{text[:_QUOTE_LIMIT]}... (length {size})"
 
 
 def prime_factors(n: int) -> dict[int, int]:
@@ -41,8 +52,8 @@ def prime_factors(n: int) -> dict[int, int]:
     while p * p <= n:
         if p > _TRIAL_DIVISION_LIMIT:
             raise ValueError(
-                f"cannot factor {original}: cofactor {n} has no prime factor up to 2**22 "
-                "and is not below 2**44"
+                f"cannot factor {_quote(original)}: cofactor {_quote(n)} has no prime "
+                "factor up to 2**22 and is not below 2**44"
             )
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
@@ -344,10 +355,10 @@ def units_of(params: FieldParams) -> tuple[KElement, ...]:
 def field_params(m: int) -> FieldParams:
     """Validated field data for K = Q(sqrt(-m)); m must be squarefree and >= 1."""
     if m <= 0:
-        raise ValueError(f"m must be a positive integer, got {m}")
+        raise ValueError(f"m must be a positive integer, got {_quote(m)}")
     p = repeated_prime(m)
     if p is not None:
-        raise ValueError(f"m must be squarefree, but {p}**2 divides {m}")
+        raise ValueError(f"m must be squarefree, but {p}**2 divides {_quote(m)}")
     d_K = -m if m % 4 == 3 else -4 * m
     theta = KElement._raw(m, 0, 1)
     omega = KElement(m, m, 1)

@@ -24,6 +24,7 @@ from math import gcd
 from .field import (
     FieldParams,
     IdealHNF,
+    _quote,
     field_params,
     repeated_prime,
     squarefree_divisors,
@@ -57,12 +58,12 @@ class BezoutPair:
 
 def _check_divisor(params: FieldParams, d: int) -> None:
     if d <= 0:
-        raise ValueError(f"d must be positive, got {d}")
+        raise ValueError(f"d must be positive, got {_quote(d)}")
     if abs(params.d_K) % d != 0:
-        raise ValueError(f"d = {d} does not divide |d_K| = {abs(params.d_K)}")
+        raise ValueError(f"d = {_quote(d)} does not divide |d_K| = {abs(params.d_K)}")
     p = repeated_prime(d)
     if p is not None:
-        raise ValueError(f"d must be squarefree, {p}**2 divides {d}")
+        raise ValueError(f"d must be squarefree, {p}**2 divides {_quote(d)}")
 
 
 def bezout_pair(params: FieldParams, d: int, shift: int = 0) -> BezoutPair:

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .field import KElement, field_params, repeated_prime, squarefree_part, theta_product
+from .field import KElement, _quote, field_params, repeated_prime, squarefree_part, theta_product
 
 Rows = tuple[tuple[KElement, KElement], tuple[KElement, KElement]]
 Coords = tuple[int, int, int, int, int, int, int, int]
@@ -69,10 +69,10 @@ class ExtendedMatrix:
     def __init__(self, f: int, rows: Sequence[Sequence[KElement]]) -> None:
         m, g, coords = _scaled_coords(rows)
         if f <= 0:
-            raise ValueError(f"denominator part must be positive, got {f}")
+            raise ValueError(f"denominator part must be positive, got {_quote(f)}")
         p = repeated_prime(f)
         if p is not None:
-            raise ValueError(f"denominator part must be squarefree, {p}**2 divides {f}")
+            raise ValueError(f"denominator part must be squarefree, {p}**2 divides {_quote(f)}")
         params = field_params(m)
         det = _det_coords(params.theta_trace, params.theta_norm, coords)
         if det != (g * g * f, 0):
@@ -184,39 +184,12 @@ class ExtendedMatrix:
         return self.g * self.g * self.f, entries
 
 
-def min_poly_over_q(z: KElement, f: int) -> list[Fraction]:
-    """Monic minimal polynomial of z / sqrt(f) over Q, leading coefficient first.
+def is_algebraic_integer(z: KElement, f: int) -> bool:
+    """Whether w = z / sqrt(f) is an algebraic integer, for f positive squarefree.
 
-    The element lives in the biquadratic field Q(sqrt(f), sqrt(-m)); the degree
-    is 1 (rational), 2 (a quadratic subfield) or 4.  With z = p + q*sqrt(-m):
-
-    * f = 1: t - p, or t**2 - 2p t + (p**2 + m q**2);
-    * f > 1, q = 0: t, or t**2 - p**2/f;
-    * f > 1, p = 0: t**2 + m q**2 / f;
-    * f > 1, p, q != 0: t**4 - 2u t**2 + (u**2 + m v**2) with
-      u = (p**2 - m q**2)/f and v = 2pq/f, the product of (t - s) over the
-      four conjugates (+-p +- q*sqrt(-m))/sqrt(f), irreducible because the
-      element avoids all three quadratic subfields.
+    w is a root of the monic X**2 - w**2 with w**2 = z*z/f in K, so w is
+    integral exactly when w**2 lies in the ring of integers.
     """
     if f <= 0 or repeated_prime(f) is not None:
         raise ValueError(f"f must be a positive squarefree integer, got {f}")
-    p, q = z.x, z.y
-    m = z.m
-    if f == 1:
-        if q == 0:
-            return [Fraction(1), -p]
-        return [Fraction(1), -2 * p, p * p + m * q * q]
-    if q == 0:
-        if p == 0:
-            return [Fraction(1), Fraction(0)]
-        return [Fraction(1), Fraction(0), -p * p / f]
-    if p == 0:
-        return [Fraction(1), Fraction(0), m * q * q / f]
-    u = (p * p - m * q * q) / f
-    v = 2 * p * q / f
-    return [Fraction(1), Fraction(0), -2 * u, Fraction(0), u * u + m * v * v]
-
-
-def is_algebraic_integer(z: KElement, f: int) -> bool:
-    """Whether z / sqrt(f) has an integer-coefficient minimal polynomial."""
-    return all(c.denominator == 1 for c in min_poly_over_q(z, f))
+    return (z * z / f).is_integral()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import lcm
 
 from .field import (
     FieldParams,
@@ -265,53 +265,35 @@ def preserves_lattice(phi_map: OrthoMap) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _dual_coords(m: int) -> tuple[Vec4, ...]:
-    """Coordinates of a Z-basis of the dual lattice under the trace pairing.
+def _dual_coords(m: int) -> Mat4:
+    """A Z-basis of the dual lattice under the trace pairing 2B(u, v) = 2 u^t G v.
 
-    The diagonal part is Z H1 + Z H2.  The off-diagonal part is
-    (1/sqrt(d_K)) O_K, and sqrt(d_K) = k*sqrt(-m) with k**2 = |d_K|/m, so
-    it is spanned by sigma and sigma*theta with sigma = sqrt(-m)/(k*m).
+    A vector v is in the dual lattice when 2B(H_j, v) is an integer for every
+    basis matrix H_j, that is when 2G v is integral; so the dual lattice is
+    (2G)^-1 Z^4 and the columns of (2G)^-1 = G^-1 / 2 are the basis dual to
+    H1..H4.  G^-1 is symmetric, so its rows are its columns.
     """
-    params = field_params(m)
-    k = isqrt(abs(params.d_K) // m)
-    sigma = KElement(m, 0, Fraction(1, k * m))
-    zero, one = Fraction(0), Fraction(1)
-    return (
-        (one, zero, zero, zero),
-        (zero, one, zero, zero),
-        (zero, zero) + sigma.theta_coords(),
-        (zero, zero) + (sigma * params.theta).theta_coords(),
-    )
+    return tuple(tuple(x / 2 for x in row) for row in _gram_inverse(m))  # type: ignore[return-value]
 
 
-def dual_basis(params: FieldParams) -> tuple[Vec4, ...]:
-    """A Z-basis of the dual lattice under the trace pairing, as coordinates."""
+def dual_basis(params: FieldParams) -> Mat4:
+    """The Z-basis of the dual lattice dual to H1..H4, as coordinates."""
     return _dual_coords(params.m)
 
 
 def in_dual_lattice(params: FieldParams, v: Vec4) -> bool:
-    """Membership in the dual lattice: integral diagonal, s in (1/sqrt(d_K))O_K.
-
-    Here s is the off-diagonal entry v[2] + v[3]*theta.  With sqrt(d_K) =
-    k*sqrt(-m), the condition is k*sqrt(-m)*s in O_K, and
-    sqrt(-m)*(x + y*sqrt(-m)) = -m*y + x*sqrt(-m).
-    """
+    """Membership in the dual lattice: 2G v is integral."""
     _require_vec4(v)
-    m, s = params.m, params.from_theta_coords(v[2], v[3])
-    k = isqrt(abs(params.d_K) // m)
-    return (
-        v[0].denominator == 1
-        and v[1].denominator == 1
-        and KElement(m, -k * m * s.y, k * s.x).is_integral()
+    return all(
+        sum(2 * g * x for g, x in zip(row, v)).denominator == 1
+        for row in gram_matrix(params.m)
     )
 
 
 def dual_lattice_index(params: FieldParams) -> int:
-    """Index of the integral Hermitian lattice in its dual; equals |d_K|."""
-    index = 1 / abs(_det4(dual_basis(params)))  # type: ignore[arg-type]
-    if index.denominator != 1:
-        raise AssertionError("dual basis does not contain the lattice")
-    return int(index)
+    """Index of the integral Hermitian lattice in its dual: |det 2G| = |d_K|."""
+    twice_gram = tuple(tuple(2 * x for x in row) for row in gram_matrix(params.m))
+    return int(abs(_det4(twice_gram)))  # type: ignore[arg-type]
 
 
 def in_discriminant_kernel(phi_map: OrthoMap) -> bool:
@@ -344,44 +326,33 @@ def k_square_root(z: KElement) -> tuple[int, KElement] | None:
     """Solve (x / sqrt(f))**2 = z exactly, f squarefree positive and minimal.
 
     Writing z = p + q*sqrt(-m) and x = a + b*sqrt(-m), the equations are
-    a**2 - m*b**2 = f*p and 2ab = f*q.  For q != 0, N(z) = p**2 + m*q**2 must
-    be the square of a rational s, and then a**2 = f*(p + s)/2, which pins f
-    down as the squarefree part of (p + s)/2; for q = 0 the same reasoning
-    applies to p (rational root) or -p/m (purely imaginary root).  The pair
-    (f, x) representing a fixed complex number is unique, so this f is the
-    only candidate; the root returned has a > 0, or a = 0 and b > 0.
+    a**2 - m*b**2 = f*p and 2ab = f*q, so N(z) = p**2 + m*q**2 must be the
+    square of a rational s = |z|, and a**2 = f*(p + s)/2.  When p + s > 0
+    that pins f down as the squarefree part of (p + s)/2, and b = f*q/(2a).
+    Otherwise q = 0 and p < 0, the root is purely imaginary and b**2 =
+    f*(-p/m) pins f down the same way.  The pair (f, x) representing a fixed
+    complex number is unique, so this f is the only candidate; the root
+    returned has a > 0, or a = 0 and b > 0, and is certified by squaring it.
     """
     m, p, q = z.m, z.x, z.y
     if z.is_zero():
         return (1, KElement(m, 0, 0))
+    s = fraction_square_root(p * p + m * q * q)
+    if s is None:
+        return None
 
-    def rational_part_squarefree(value: Fraction) -> int:
-        return squarefree_part(value.numerator * value.denominator)
+    def squarefree_scaling(r: Fraction) -> tuple[int, Fraction]:
+        """(f, sqrt(f*r)) for a rational r > 0 with squarefree part f."""
+        f = squarefree_part(r.numerator * r.denominator)
+        return f, fraction_square_root(f * r)  # type: ignore[return-value]
 
-    if q == 0:
-        if p > 0:
-            f = rational_part_squarefree(p)
-            a = fraction_square_root(p * f)
-            if a is None:
-                raise AssertionError("squarefree scaling must yield a square")
-            root = KElement(m, a, 0)
-        else:
-            f = rational_part_squarefree(-p / m)
-            b = fraction_square_root(-p * f / m)
-            if b is None:
-                raise AssertionError("squarefree scaling must yield a square")
-            root = KElement(m, 0, b)
+    if p + s > 0:
+        f, a = squarefree_scaling((p + s) / 2)
+        root = KElement(m, a, f * q / (2 * a))
     else:
-        s = fraction_square_root(p * p + m * q * q)
-        if s is None:
-            return None
-        f = rational_part_squarefree((p + s) / 2)
-        a = fraction_square_root(f * (p + s) / 2)
-        if a is None or a == 0:
-            return None
-        b = f * q / (2 * a)
-        root = KElement(m, a, b)
-    if (root * root) != KElement(m, f * p, f * q):
+        f, b = squarefree_scaling(-p / m)
+        root = KElement(m, 0, b)
+    if root * root != KElement(m, f * p, f * q):
         return None
     return f, root
 

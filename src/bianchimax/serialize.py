@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .field import KElement, field_params
+from .field import KElement, _quote, field_params
 from .matrices import ExtendedMatrix
 from .orthogonal import OrthoMap
 
@@ -23,17 +23,6 @@ def fraction_to_str(q: Fraction) -> str:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-_QUOTE_LIMIT = 80  # characters of an offending value that an error message repeats
-
-
-def _quote(value: Any) -> str:
-    """repr(value) for an error message, cut to _QUOTE_LIMIT characters plus
-    the length of the value, so that a huge input gives a short message."""
-    text = repr(value)
-    if len(text) <= _QUOTE_LIMIT:
-        return text
-    size = len(value) if isinstance(value, (str, list, tuple, dict)) else len(text)
-    return f"{text[:_QUOTE_LIMIT]}... (length {size})"
 
 
 def fraction_from_str(text: str) -> Fraction:

@@ -408,3 +408,41 @@ def test_huge_value_is_quoted_briefly(command, text, error):
     assert message.startswith(error)
     assert message.endswith(f"... (length {HUGE})")
     assert "Traceback" not in result.stderr
+
+
+NEXT_PRIME_AFTER_2_POW_45 = 35184372088891
+HUGE_SQUARE = 10**3999
+
+
+@pytest.mark.parametrize(
+    "args,stdin_text,error,digits",
+    [
+        (["index", "--m", str(HUGE_SQUARE)], None,
+         "m must be squarefree, but 2**2 divides 1000", 4000),
+        # past the 2**44 limit, so factoring stops after trial division to 2**22
+        (["index", "--m", str(10**600 * NEXT_PRIME_AFTER_2_POW_45)], None,
+         "cannot factor 3518437208889100", 614),
+        (["vd", "--m", "1", "--d", str(HUGE_SQUARE)], None, "d = 1000", 4000),
+        (["classify"], LARGE_DIAGONAL.replace(str(LARGE_PRIME), str(HUGE_SQUARE)),
+         "denominator part must be squarefree, 2**2 divides 1000", 4000),
+    ],
+    ids=["index-4000-digit-square", "index-cofactor-past-2**44", "vd-huge-d", "classify-huge-f"],
+)
+def test_huge_integer_is_quoted_briefly(args, stdin_text, error, digits):
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, "-m", "bianchimax", *args],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 1
+    assert len(result.stdout.encode()) <= 512
+    assert len(result.stderr.encode()) <= 512
+    message = json.loads(result.stdout)["error"]
+    assert message.startswith(error)
+    assert f"... (length {digits})" in message
+    assert "Traceback" not in result.stderr

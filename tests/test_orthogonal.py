@@ -1,6 +1,7 @@
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 from random import Random
 
 import pytest
@@ -161,6 +162,30 @@ def trace_product(s, h):
     total = s11 * h11 + s12 * h21 + s21 * h12 + s22 * h22
     assert total.y == 0
     return total.x
+
+
+def pairing(params, u, v):
+    """The trace pairing 2B(u, v) = q(u + v) - q(u) - q(v), by determinants."""
+    w = tuple(a + b for a, b in zip(u, v))
+    return q(*hermitian(params, w)) - q(*hermitian(params, u)) - q(*hermitian(params, v))
+
+
+def sigma_dual_basis(params):
+    """Oracle: a Z-basis of the dual lattice from the inverse different.
+
+    The diagonal part is Z H1 + Z H2.  The off-diagonal part is
+    (1/sqrt(d_K)) O_K, and sqrt(d_K) = scale*sqrt(-m) with scale**2 = |d_K|/m,
+    so it is spanned by sigma and sigma*theta with sigma = sqrt(-m)/(scale*m).
+    """
+    m = params.m
+    scale = isqrt(abs(params.d_K) // m)
+    sigma = k(m, 0, Fraction(1, scale * m))
+    return (
+        BASIS[0],
+        BASIS[1],
+        hermitian_coords(0, 0, sigma),
+        hermitian_coords(0, 0, sigma * params.theta),
+    )
 
 
 def gram_q(m, v):
@@ -467,9 +492,30 @@ class TestDualLattice:
             )
             assert in_dual_lattice(params, v) == by_trace
 
-    def test_diagonal_generators_self_dual(self):
-        duals = dual_basis(field_params(5))
-        assert duals[:2] == BASIS[:2]
+    @pytest.mark.parametrize("m", NINE_FIELDS)
+    def test_dual_basis_pairs_to_delta(self, m):
+        # 2B(dual_i, H_j) = delta_ij: the basis is dual to H1..H4
+        params = field_params(m)
+        for i, dual in enumerate(dual_basis(params)):
+            for j, h in enumerate(BASIS):
+                assert pairing(params, dual, h) == (i == j)
+
+    @pytest.mark.parametrize("m", NINE_FIELDS)
+    def test_sigma_oracle_spans_the_same_lattice(self, m):
+        params = field_params(m)
+        duals = dual_basis(params)
+        oracle = sigma_dual_basis(params)
+        # Column c holds the coordinates of oracle[c] on dual_basis, which are
+        # its pairings with H1..H4; the lattices agree when this transition
+        # matrix is integral and unimodular.
+        transition = tuple(tuple(pairing(params, h, o) for o in oracle) for h in BASIS)
+        for c, o in enumerate(oracle):
+            combination = tuple(
+                sum(transition[j][c] * duals[j][i] for j in range(4)) for i in range(4)
+            )
+            assert combination == o
+        assert all(x.denominator == 1 for row in transition for x in row)
+        assert abs(det4_oracle(transition)) == 1
 
     def test_m1_offdiagonal_denominator(self):
         # for m = 1 the off-diagonal dual part is (1/2)Z[i]
@@ -558,6 +604,23 @@ class TestKSquareRoot:
             # uniqueness of the squarefree denominator
             if not x.is_zero():
                 assert got_f == 1 or got_f > 1
+
+    @pytest.mark.parametrize("m", NINE_FIELDS)
+    def test_root_of_a_square_is_the_root_up_to_sign(self, m):
+        # (f, w) for w/sqrt(f) is unique up to the sign of w, which the
+        # convention fixes: real part > 0, or real part 0 and imaginary part > 0
+        rng = Random(f"kroot:{m}")
+        imaginary = 0
+        for i in range(40):
+            x = 0 if i % 4 == 0 else Fraction(rng.randint(-8, 8), rng.randint(1, 3))
+            w = k(m, x, Fraction(rng.randint(-8, 8), rng.randint(1, 3)))
+            if w.is_zero():
+                continue
+            imaginary += w.x == 0
+            f = rng.choice([1, 2, 3, 5, 6, 7, 10, 11, 15])
+            expected = w if (w.x, w.y) > (0, 0) else -w
+            assert k_square_root(w * w / f) == (f, expected), (w, f)
+        assert imaginary > 0
 
     def test_minimality_of_f(self):
         # 2i/3 requires exactly f = 3 (not 12 or 1)
