@@ -7,9 +7,9 @@ Integrality is then a denominator check, and products use
 theta**2 = t*theta - n with t and n the trace and norm of theta.  The
 coordinates with respect to {1, sqrt(-m)}, which the constructor, printing
 and serialization use, are derived.  Only int and Fraction are accepted as
-coordinates.  Ideals of the ring of integers are kept in a canonical
-lower-triangular Hermite normal form, so equality is a componentwise
-comparison.
+coordinates.  Ideals of the ring of integers are built only from generators,
+into a lower-triangular Hermite normal form that is canonical by
+construction, so equality is a componentwise comparison.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 
 _TRIAL_DIVISION_LIMIT = 2**22
@@ -297,17 +297,6 @@ class FieldParams:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldParams is immutable")
 
-    def _key(self) -> tuple[int, int, KElement, KElement]:
-        return (self.m, self.d_K, self.theta, self.omega)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldParams):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
     def __repr__(self) -> str:
         return (
             f"FieldParams(m={self.m}, d_K={self.d_K}, "
@@ -353,9 +342,11 @@ def units_of(params: FieldParams) -> tuple[KElement, ...]:
 
 @lru_cache(maxsize=None)
 def field_params(m: int) -> FieldParams:
-    """Validated field data for K = Q(sqrt(-m)); m must be squarefree and >= 1."""
+    """Validated field data for K = Q(sqrt(-m)); m is squarefree and 1 <= m < 2**64."""
     if m <= 0:
         raise ValueError(f"m must be a positive integer, got {_quote(m)}")
+    if m >= 2**64:
+        raise ValueError(f"m must be below 2**64, got {_quote(m)}")
     p = repeated_prime(m)
     if p is not None:
         raise ValueError(f"m must be squarefree, but {p}**2 divides {_quote(m)}")
@@ -399,27 +390,11 @@ class IdealHNF:
     The basis matrix is lower triangular; its columns are the coordinates of
     the two Z-generators with respect to {1, theta}.  Canonicity makes
     equality a field-by-field comparison, and |det| is the ideal norm.
+    There is no public constructor: from_generators, principal and * are the
+    only ways to get an ideal, and each returns the canonical HNF.
     """
 
     __slots__ = ("m", "_h")
-
-    def __init__(self, m: int, basis: Sequence[Sequence[int]]) -> None:
-        (a, z), (b, c) = basis
-        if z != 0:
-            raise ValueError("ideal basis must be lower triangular")
-        if (a, b, c) == (0, 0, 0):
-            object.__setattr__(self, "m", m)
-            object.__setattr__(self, "_h", (0, 0, 0))
-            return
-        if a <= 0 or c <= 0 or not 0 <= b < c:
-            raise ValueError("ideal basis is not in canonical HNF")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "_h", (a, b, c))
-        params = field_params(m)
-        for gen in (params.from_theta_coords(a, b), params.from_theta_coords(0, c)):
-            prod = params.theta * gen
-            if not self._contains_coords(*prod.theta_coords()):
-                raise ValueError("Z-module is not closed under theta, not an ideal")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IdealHNF is immutable")
@@ -430,14 +405,6 @@ class IdealHNF:
         object.__setattr__(ideal, "m", m)
         object.__setattr__(ideal, "_h", h)
         return ideal
-
-    @classmethod
-    def zero(cls, params: FieldParams) -> "IdealHNF":
-        return cls._raw(params.m, (0, 0, 0))
-
-    @classmethod
-    def unit(cls, params: FieldParams) -> "IdealHNF":
-        return cls._raw(params.m, (1, 0, 1))
 
     @classmethod
     def from_generators(cls, params: FieldParams, gens: Iterable[KElement]) -> "IdealHNF":
@@ -452,9 +419,7 @@ class IdealHNF:
                 a, b = w.theta_coords()
                 pairs.append((int(a), int(b)))
         h = _hnf_from_pairs(pairs)
-        if h == (0, 0, 0):
-            return cls.zero(params)
-        if h[0] == 0 or h[2] == 0:
+        if h != (0, 0, 0) and (h[0] == 0 or h[2] == 0):
             raise AssertionError("theta-closed nonzero module must have full rank")
         return cls._raw(params.m, h)
 
@@ -462,34 +427,12 @@ class IdealHNF:
     def principal(cls, params: FieldParams, z: KElement) -> "IdealHNF":
         return cls.from_generators(params, [z])
 
-    @property
-    def basis(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        a, b, c = self._h
-        return ((a, 0), (b, c))
-
     def is_zero(self) -> bool:
         return self._h == (0, 0, 0)
 
     def norm(self) -> int:
         a, _, c = self._h
         return a * c
-
-    def _contains_coords(self, a: Fraction, b: Fraction) -> bool:
-        h11, h21, h22 = self._h
-        if h11 == 0:
-            return a == 0 and b == 0
-        x = a / h11
-        if x.denominator != 1:
-            return False
-        y = (b - x * h21) / h22
-        return y.denominator == 1
-
-    def contains(self, z: KElement) -> bool:
-        if z.m != self.m:
-            raise ValueError(f"mixed fields: m={self.m} vs m={z.m}")
-        if not z.is_integral():
-            return False
-        return self._contains_coords(*z.theta_coords())
 
     def generators(self) -> tuple[KElement, KElement]:
         params = field_params(self.m)
@@ -517,7 +460,8 @@ class IdealHNF:
         return hash((self.m, self._h))
 
     def __repr__(self) -> str:
-        return f"IdealHNF(m={self.m}, basis={self.basis})"
+        a, b, c = self._h
+        return f"IdealHNF(m={self.m}, basis={((a, 0), (b, c))})"
 
 
 def ideal_from_generators(params: FieldParams, gens: Iterable[KElement]) -> IdealHNF:

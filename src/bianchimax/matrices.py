@@ -57,6 +57,16 @@ def _product_coords(t: int, n: int, x: Coords, y: Coords) -> Coords:
     return tuple(out)  # type: ignore[return-value]
 
 
+def _check_det(m: int, g: int, coords: Coords, matrix: str, name: str, value: int) -> None:
+    """Raise ValueError unless the matrix with coordinates coords/g has
+    determinant `value`; the message quotes both numbers briefly."""
+    params = field_params(m)
+    det = _det_coords(params.theta_trace, params.theta_norm, coords)
+    if det != (g * g * value, 0):
+        got = params.from_theta_coords(Fraction(det[0], g * g), Fraction(det[1], g * g))
+        raise ValueError(f"det {matrix} = {_quote(got)} does not match {name} = {_quote(value)}")
+
+
 class ExtendedMatrix:
     """(1/sqrt(f)) * A with f squarefree positive and A over K, det A = f.
 
@@ -73,11 +83,7 @@ class ExtendedMatrix:
         p = repeated_prime(f)
         if p is not None:
             raise ValueError(f"denominator part must be squarefree, {p}**2 divides {_quote(f)}")
-        params = field_params(m)
-        det = _det_coords(params.theta_trace, params.theta_norm, coords)
-        if det != (g * g * f, 0):
-            det_a = params.from_theta_coords(Fraction(det[0], g * g), Fraction(det[1], g * g))
-            raise ValueError(f"det A = {det_a} but the canonical form requires det A = {f}")
+        _check_det(m, g, coords, "A", "f", f)
         self._set(m, f, g, coords)
 
     def _set(self, m: int, f: int, g: int, coords: Coords) -> None:
@@ -108,15 +114,12 @@ class ExtendedMatrix:
     def from_integral(cls, d: int, rows: Sequence[Sequence[KElement]]) -> "ExtendedMatrix":
         """Canonicalize (1/sqrt(d))*M for an integral matrix M with det M = d."""
         if d <= 0:
-            raise ValueError(f"d must be a positive integer, got {d}")
+            raise ValueError(f"d must be a positive integer, got {_quote(d)}")
         m, scale, coords = _scaled_coords(rows)
         if scale != 1:
             entry = next(z for row in rows for z in row if not z.is_integral())
-            raise ValueError(f"matrix entry {entry} is not integral")
-        params = field_params(m)
-        det = _det_coords(params.theta_trace, params.theta_norm, coords)
-        if det != (d, 0):
-            raise ValueError(f"det M = {params.from_theta_coords(*det)} does not match d = {d}")
+            raise ValueError(f"matrix entry {_quote(entry)} is not integral")
+        _check_det(m, 1, coords, "M", "d", d)
         f = squarefree_part(d)
         return cls._reduced(m, f, isqrt(d // f), coords)
 

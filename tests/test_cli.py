@@ -298,6 +298,8 @@ LARGE_DIAGONAL = json.dumps(
         (["index", "--m", str(LARGE_PRIME)], None, "cannot factor"),
         (["vd", "--m", "1", "--d", str(LARGE_PRIME)], None, "does not divide"),
         (["classify"], LARGE_DIAGONAL, "cannot factor"),
+        # no prime factor below 2**22: trial division would take seconds
+        (["index", "--m", str(2 * 10**3999 + 1)], None, "m must be below 2**64"),
     ],
 )
 def test_large_prime_inputs_fail_fast(args, stdin_text, message):
@@ -412,23 +414,31 @@ def test_huge_value_is_quoted_briefly(command, text, error):
 
 NEXT_PRIME_AFTER_2_POW_45 = 35184372088891
 HUGE_SQUARE = 10**3999
+HUGE_COFACTOR = 10**600 * NEXT_PRIME_AFTER_2_POW_45
+HUGE_ENTRY = json.dumps(
+    {"m": 1, "f": 1, "A": [[[str(HUGE_SQUARE), "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}
+)
 
 
 @pytest.mark.parametrize(
-    "args,stdin_text,error,digits",
+    "args,stdin_text,error,length",
     [
-        (["index", "--m", str(HUGE_SQUARE)], None,
-         "m must be squarefree, but 2**2 divides 1000", 4000),
-        # past the 2**44 limit, so factoring stops after trial division to 2**22
-        (["index", "--m", str(10**600 * NEXT_PRIME_AFTER_2_POW_45)], None,
+        (["index", "--m", str(HUGE_SQUARE)], None, "m must be below 2**64, got 1000", 4000),
+        (["index", "--m", str(HUGE_COFACTOR)], None,
+         "m must be below 2**64, got 3518437208889100", 614),
+        # past the 2**44 limit, so factoring f stops after trial division to 2**22
+        (["classify"], LARGE_DIAGONAL.replace(str(LARGE_PRIME), str(HUGE_COFACTOR)),
          "cannot factor 3518437208889100", 614),
         (["vd", "--m", "1", "--d", str(HUGE_SQUARE)], None, "d = 1000", 4000),
         (["classify"], LARGE_DIAGONAL.replace(str(LARGE_PRIME), str(HUGE_SQUARE)),
          "denominator part must be squarefree, 2**2 divides 1000", 4000),
+        # the message quotes repr(det A), which is 18 characters longer than its digits
+        (["classify"], HUGE_ENTRY, "det A = KElement(m=1, 1000", 4018),
     ],
-    ids=["index-4000-digit-square", "index-cofactor-past-2**44", "vd-huge-d", "classify-huge-f"],
+    ids=["index-4000-digit-square", "index-614-digit-m", "classify-cofactor-past-2**44",
+         "vd-huge-d", "classify-huge-f", "classify-huge-entry"],
 )
-def test_huge_integer_is_quoted_briefly(args, stdin_text, error, digits):
+def test_huge_integer_is_quoted_briefly(args, stdin_text, error, length):
     import subprocess
     import sys
 
@@ -444,5 +454,5 @@ def test_huge_integer_is_quoted_briefly(args, stdin_text, error, digits):
     assert len(result.stderr.encode()) <= 512
     message = json.loads(result.stdout)["error"]
     assert message.startswith(error)
-    assert f"... (length {digits})" in message
+    assert f"... (length {length})" in message
     assert "Traceback" not in result.stderr

@@ -48,6 +48,22 @@ def ideals_equal_oracle(params, gens_a, gens_b):
     return ca != 0 and ca == cb == cab
 
 
+def in_z_span(basis, a, b):
+    """Whether (a, b) lies in Z*(h11, h21) + Z*(0, h22), by back substitution."""
+    h11, h21, h22 = basis
+    x = a / h11
+    return x.denominator == 1 and ((b - x * h21) / h22).denominator == 1
+
+
+def assert_canonical_ideal(params, ideal):
+    """A nonzero ideal's HNF is canonical and its Z-span is closed under theta."""
+    (h11, h21), (zero, h22) = (g.theta_coords() for g in ideal.generators())
+    assert zero == 0
+    assert h11 > 0 and h22 > 0 and 0 <= h21 < h22
+    for gen in ideal.generators():
+        assert in_z_span((h11, h21, h22), *(params.theta * gen).theta_coords())
+
+
 class SqrtCoordsOracle:
     """x + y*sqrt(-m) with arithmetic on {1, sqrt(-m)}-coordinates, an
     independent reference for KElement, which stores {1, theta}-coordinates."""
@@ -261,6 +277,21 @@ class TestFieldParams:
         with pytest.raises(ValueError, match=f"{prime}"):
             field_params(m)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7, 10, 11, 15])
+    def test_one_object_per_m(self, m):
+        assert field_params(m) is field_params(m)
+
+    def test_m_just_below_the_cap_is_a_field(self):
+        # 2**64 - 1 = 3 * 5 * 17 * 257 * 641 * 65537 * 6700417 is squarefree
+        assert field_params(2**64 - 1).d_K == -(2**64 - 1)
+
+    @pytest.mark.parametrize("m", [2**64, 2**64 + 1, 10**3999], ids=["2**64", "2**64+1", "10**3999"])
+    def test_m_at_or_above_the_cap_raises(self, m):
+        # 10**3999 is not squarefree, but the cap is checked before factoring
+        with pytest.raises(ValueError, match=r"^m must be below 2\*\*64, got \d+") as info:
+            field_params(m)
+        assert len(str(info.value)) < 200
+
     @pytest.mark.parametrize("m", range(1, 201))
     def test_divisor_cofactors_coprime(self, m):
         if repeated_prime(m) is not None:
@@ -342,15 +373,17 @@ class TestIdeals:
         ideal = IdealHNF.from_generators(params, gens)
         principal = IdealHNF.principal(params, params.element(1, 1))
         assert ideal == principal
-        assert ideal.basis == ((1, 0), (1, 2))
+        assert repr(ideal) == "IdealHNF(m=1, basis=((1, 0), (1, 2)))"
         assert ideals_equal_oracle(params, gens, [params.element(1, 1)])
 
     def test_zero_ideal(self):
         params = field_params(1)
         ideal = IdealHNF.from_generators(params, [params.integer(0)])
         assert ideal.is_zero()
-        assert ideal == IdealHNF.zero(params)
+        assert ideal == IdealHNF.principal(params, params.element(0, 0))
         assert ideal.norm() == 0
+        assert ideal * IdealHNF.principal(params, params.element(1, 1)) == ideal
+        assert repr(ideal) == "IdealHNF(m=1, basis=((0, 0), (0, 0)))"
 
     def test_ramified_prime_above_two_m5(self):
         params = field_params(5)
@@ -370,8 +403,12 @@ class TestIdeals:
 
     def test_unit_ideal(self):
         params = field_params(7)
-        assert IdealHNF.principal(params, params.integer(1)) == IdealHNF.unit(params)
-        assert IdealHNF.unit(params).norm() == 1
+        unit = IdealHNF.principal(params, params.integer(1))
+        assert unit == IdealHNF.from_generators(params, [params.integer(2), params.integer(3)])
+        assert unit.norm() == 1
+        assert repr(unit) == "IdealHNF(m=7, basis=((1, 0), (0, 1)))"
+        two = IdealHNF.principal(params, params.integer(2))
+        assert unit * two == two
 
     def test_inequality_by_norm(self):
         params = field_params(1)
@@ -380,8 +417,8 @@ class TestIdeals:
         )
 
     def test_mixed_fields_raise(self):
-        a = IdealHNF.unit(field_params(1))
-        b = IdealHNF.unit(field_params(2))
+        a = IdealHNF.principal(field_params(1), field_params(1).integer(1))
+        b = IdealHNF.principal(field_params(2), field_params(2).integer(1))
         with pytest.raises(ValueError, match="mixed"):
             a * b
 
@@ -390,15 +427,11 @@ class TestIdeals:
         with pytest.raises(ValueError, match="integral"):
             IdealHNF.from_generators(params, [params.element(Fraction(1, 2), 0)])
 
-    def test_non_canonical_basis_raises(self):
-        with pytest.raises(ValueError):
-            IdealHNF(1, ((2, 1), (0, 2)))
-        with pytest.raises(ValueError):
-            IdealHNF(1, ((-1, 0), (0, 1)))
-
-    def test_non_ideal_module_raises(self):
-        # Z*1 + Z*(5*theta) is not theta-stable for m = 1
-        with pytest.raises(ValueError, match="theta"):
+    def test_direct_construction_raises(self):
+        # An ideal comes only from generators, so no basis is ever validated.
+        with pytest.raises(TypeError):
+            IdealHNF(1, ((2, 0), (1, 2)))
+        with pytest.raises(TypeError):
             IdealHNF(1, ((1, 0), (0, 5)))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 11])
@@ -411,9 +444,13 @@ class TestIdeals:
             if ideal.is_zero():
                 assert all(z.is_zero() for z in gens)
                 continue
+            assert_canonical_ideal(params, ideal)
             pairs = z_generator_pairs(params, gens)
             assert ideal.norm() == covolume(pairs)
             assert ideals_equal_oracle(params, gens, list(ideal.generators()))
+            for z in gens:
+                if not z.is_zero():
+                    assert_canonical_ideal(params, IdealHNF.principal(params, z))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 11])
     def test_hnf_invariance_and_norm_multiplicativity(self, m):
@@ -428,7 +465,11 @@ class TestIdeals:
             other = IdealHNF.from_generators(
                 params, [random_integral_element(rng, params, 3) for _ in range(2)]
             )
-            assert (ideal * other).norm() == ideal.norm() * other.norm()
+            product = ideal * other
+            assert product.norm() == ideal.norm() * other.norm()
+            for built in (ideal, other, product):
+                if not built.is_zero():
+                    assert_canonical_ideal(params, built)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 11])
     def test_principal_norm(self, m):
@@ -439,13 +480,6 @@ class TestIdeals:
             if z.is_zero():
                 continue
             assert IdealHNF.principal(params, z).norm() == z.norm()
-
-    def test_contains(self):
-        params = field_params(1)
-        ideal = IdealHNF.principal(params, params.element(1, 1))
-        assert ideal.contains(params.integer(2))
-        assert not ideal.contains(params.integer(1))
-        assert not ideal.contains(params.element(Fraction(1, 2), Fraction(1, 2)))
 
 
 class TestSquarefreeDivisors:

@@ -17,6 +17,14 @@ def k(m, x, y=0):
     return KElement(m, x, y)
 
 
+HUGE = 10**3999
+
+
+def diagonal(top_left):
+    """The m = 1 matrix [[top_left, 0], [0, 1]]."""
+    return ((k(1, top_left), k(1, 0)), (k(1, 0), k(1, 1)))
+
+
 class TestCanonicalForm:
     def test_identity(self):
         params = field_params(1)
@@ -69,6 +77,25 @@ class TestCanonicalForm:
         rows = ((k(1, Fraction(1, 2)), k(1, 0)), (k(1, 0), k(1, 2)))
         with pytest.raises(ValueError, match="integral"):
             ExtendedMatrix.from_integral(1, rows)
+
+    @pytest.mark.parametrize(
+        "build,prefix",
+        [
+            (lambda: ExtendedMatrix.from_integral(1, diagonal(HUGE)), "det M = KElement(m=1, 1000"),
+            (lambda: ExtendedMatrix.from_integral(1, diagonal(Fraction(HUGE, 3))),
+             "matrix entry KElement(m=1, 1000"),
+            (lambda: ExtendedMatrix.from_integral(-HUGE, diagonal(1)),
+             "d must be a positive integer"),
+            (lambda: ExtendedMatrix(1, diagonal(HUGE)), "det A = KElement(m=1, 1000"),
+        ],
+        ids=["det-M", "entry", "d", "det-A"],
+    )
+    def test_huge_values_are_quoted_briefly(self, build, prefix):
+        with pytest.raises(ValueError) as info:
+            build()
+        message = str(info.value)
+        assert message.startswith(prefix)
+        assert len(message) < 200 and "... (length 40" in message
 
     def test_non_squarefree_f_raises(self):
         rows = ((k(1, 4), k(1, 0)), (k(1, 0), k(1, 1)))
