@@ -5,7 +5,8 @@ to stderr.  Exit codes:
 
 * 0: a successful result, including a negative membership answer;
 * 1: an error in the input or a failed `verify` suite, named in the
-  {"error": ...} payload;
+  {"error": ...} payload, or a reader that closed stdout before the output
+  was written;
 * 2: invalid command-line arguments (reported by argparse);
 * 3: an internal self-check failed, which is a bug in the library; the
   payload is {"error": "internal self-check failed: ..."}.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any
 
@@ -188,10 +190,19 @@ def main(argv: list[str] | None = None) -> int:
         result = _error(str(exc))
     except AssertionError as exc:
         result = _error(f"internal self-check failed: {exc}", status="internal_error")
-    print(json.dumps(result.payload, sort_keys=True))
+    exit_code = result.exit_code
+    try:
+        print(json.dumps(result.payload, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (as `| head -c 100` may).  Point stdout
+        # at devnull so that the flush at exit does not raise again, and exit 1
+        # as the Python docs advise for EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        exit_code = 1
     for line in result.diagnostics:
         print(line, file=sys.stderr)
-    return result.exit_code
+    return exit_code
 
 
 if __name__ == "__main__":

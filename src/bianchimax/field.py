@@ -396,6 +396,11 @@ class IdealHNF:
 
     __slots__ = ("m", "_h")
 
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        raise TypeError(
+            "IdealHNF has no public constructor; use IdealHNF.from_generators or IdealHNF.principal"
+        )
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IdealHNF is immutable")
 

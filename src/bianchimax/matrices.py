@@ -67,8 +67,19 @@ def _check_det(m: int, g: int, coords: Coords, matrix: str, name: str, value: in
         raise ValueError(f"det {matrix} = {_quote(got)} does not match {name} = {_quote(value)}")
 
 
+def _check_f_bound(f: int) -> None:
+    """Raise ValueError unless f < 2**66.
+
+    Every member of a maximal extension has f dividing |d_K| <= 4m, and m is
+    below 2**64, so the bound follows from the cap on m.  It stops a huge f
+    before anything factors it.
+    """
+    if f >= 2**66:
+        raise ValueError(f"denominator part must be below 2**66, got {_quote(f)}")
+
+
 class ExtendedMatrix:
-    """(1/sqrt(f)) * A with f squarefree positive and A over K, det A = f.
+    """(1/sqrt(f)) * A with f squarefree, 1 <= f < 2**66, A over K and det A = f.
 
     A is held as g*A = C: `g` is the least positive integer making g*A
     integral and `coords` the theta-coordinates of C, row-major.
@@ -80,6 +91,7 @@ class ExtendedMatrix:
         m, g, coords = _scaled_coords(rows)
         if f <= 0:
             raise ValueError(f"denominator part must be positive, got {_quote(f)}")
+        _check_f_bound(f)
         p = repeated_prime(f)
         if p is not None:
             raise ValueError(f"denominator part must be squarefree, {p}**2 divides {_quote(f)}")
@@ -97,6 +109,7 @@ class ExtendedMatrix:
 
     @classmethod
     def _raw(cls, m: int, f: int, g: int, coords: Coords) -> "ExtendedMatrix":
+        _check_f_bound(f)
         mat = object.__new__(cls)
         mat._set(m, f, g, coords)
         return mat
@@ -112,7 +125,11 @@ class ExtendedMatrix:
 
     @classmethod
     def from_integral(cls, d: int, rows: Sequence[Sequence[KElement]]) -> "ExtendedMatrix":
-        """Canonicalize (1/sqrt(d))*M for an integral matrix M with det M = d."""
+        """Canonicalize (1/sqrt(d))*M for an integral matrix M with det M = d.
+
+        Like every other route, this raises ValueError if the squarefree part
+        f of d is not below 2**66.
+        """
         if d <= 0:
             raise ValueError(f"d must be a positive integer, got {_quote(d)}")
         m, scale, coords = _scaled_coords(rows)

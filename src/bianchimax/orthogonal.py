@@ -94,19 +94,27 @@ def _transpose(a: Mat4) -> Mat4:
 
 
 def _det4(a: Mat4) -> Fraction:
-    """Determinant by fraction-free (Bareiss) elimination.
+    """Determinant of a rational matrix: det a = det(D*a) / D**4.
 
-    The entries are scaled to integers by their common denominator D, so
-    every step is an exact integer division and det a = det(D*a) / D**4.
+    D is the common denominator of the entries, so D*a is an integer matrix
+    and _bareiss_det4 finds its determinant exactly.
     """
     den = lcm(*(x.denominator for row in a for x in row))
     rows = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    return Fraction(_bareiss_det4(rows), den**4)
+
+
+def _bareiss_det4(rows: list[list[int]]) -> int:
+    """Determinant of an integer 4x4 matrix by fraction-free (Bareiss) elimination.
+
+    Every step is an exact integer division.  The rows are overwritten.
+    """
     sign, prev = 1, 1
     for k in range(3):
         if rows[k][k] == 0:
             swap = next((r for r in range(k + 1, 4) if rows[r][k] != 0), None)
             if swap is None:
-                return Fraction(0)
+                return 0
             rows[k], rows[swap] = rows[swap], rows[k]
             sign = -sign
         pivot = rows[k][k]
@@ -115,7 +123,7 @@ def _det4(a: Mat4) -> Fraction:
             for j in range(k + 1, 4):
                 row_i[j] = (row_i[j] * pivot - factor * rows[k][j]) // prev
         prev = pivot
-    return Fraction(sign * rows[3][3], den**4)
+    return sign * rows[3][3]
 
 
 class OrthoMap:
@@ -259,9 +267,12 @@ def preserves_lattice(phi_map: OrthoMap) -> bool:
     """Whether the map and its inverse both keep integral coordinates integral.
 
     An integral matrix has an integral inverse exactly when its determinant
-    is a unit, so this is: integral with determinant +-1.
+    is a unit, so this is: integral with determinant +-1.  Once the map is
+    integral its determinant is that of its numerators, with no scaling.
     """
-    return phi_map.is_integral() and abs(phi_map.determinant()) == 1
+    if not phi_map.is_integral():
+        return False
+    return abs(_bareiss_det4([[x.numerator for x in row] for row in phi_map.rows])) == 1
 
 
 @lru_cache(maxsize=None)
@@ -307,18 +318,24 @@ def in_discriminant_kernel(phi_map: OrthoMap) -> bool:
 
 
 def _in_discriminant_kernel(phi_map: OrthoMap) -> bool:
-    """in_discriminant_kernel for a map already known to preserve the lattice.
+    """in_discriminant_kernel for a map P already known to preserve the lattice.
 
-    Checking the generators suffices: the map is linear and dual coordinates
-    of lattice vectors are integral.  P v is the combination of the image
-    columns with the coordinates of v, so P v - v needs no matrix product.
+    P acts trivially on dual/lattice when (P - I)(2G)^-1 is integral.  Here
+    2G is block diagonal, [[0, 1], [1, 0]] beside B = [[-2, -t], [-t, -2n]]
+    with det B = |d_K|.  The first block is unimodular and P is integral, so
+    only the columns through B^-1 = [[-2n, t], [t, -2]] / |d_K| matter: with
+    u and w the third and fourth entries of row i of P - I, the test is that
+    t*w - 2n*u and t*u - 2*w are divisible by |d_K| for every row i.  The
+    precondition matters: for a map that is not integral this answer means
+    nothing.
     """
-    cols = tuple(zip(*phi_map.rows))
-    for v in _dual_coords(phi_map.m):
-        terms = [(x, col) for x, col in zip(v, cols) if x != 0]
-        for i in range(4):
-            if (sum(x * col[i] for x, col in terms) - v[i]).denominator != 1:
-                return False
+    params = field_params(phi_map.m)
+    t, two_n, disc = params.theta_trace, 2 * params.theta_norm, abs(params.d_K)
+    for i, row in enumerate(phi_map.rows):
+        u = row[2].numerator - (i == 2)
+        w = row[3].numerator - (i == 3)
+        if (t * w - two_n * u) % disc or (t * u - 2 * w) % disc:
+            return False
     return True
 
 

@@ -319,6 +319,46 @@ def test_large_prime_inputs_fail_fast(args, stdin_text, message):
     assert "Traceback" not in result.stderr
 
 
+# Squarefree m below 2**64 with m % 4 == 1, so |d_K| = 4m and d = 2m is above 2**64.
+M_PAST_2_POW_64 = 10003628061488344205  # 5*13*17*29*37*41*53*61*73*89*97*101
+M_LIFTABLE = 13033353911277396569  # 139*149*419*479*1231*1453*1753
+
+
+@pytest.mark.parametrize("m", [M_PAST_2_POW_64, M_LIFTABLE])
+def test_coset_with_f_above_2_pow_64_passes_the_f_cap(capsys, monkeypatch, m):
+    code, vd_out, _ = run_cli(capsys, monkeypatch, ["vd", "--m", str(m), "--d", str(2 * m)])
+    assert code == 0 and json.loads(vd_out)["f"] == 2 * m > 2**64
+    code, out, _ = run_cli(capsys, monkeypatch, ["classify"], vd_out)
+    assert (code, json.loads(out)) == (0, {"member": True, "label": 2 * m})
+    code, phi_out, _ = run_cli(capsys, monkeypatch, ["phi"], vd_out)
+    assert code == 0
+    code, out, err = run_cli(capsys, monkeypatch, ["lift"], phi_out)
+    if m == M_LIFTABLE:
+        mat = matrix_from_json(json.loads(vd_out))
+        assert code == 0 and matrix_from_json(json.loads(out)) in (mat, -mat)
+    else:
+        # the anchor's square has a cofactor past 2**44, a factoring limit, not the f cap
+        assert code == 1 and "cannot factor" in err and "below 2**66" not in err
+
+
+def test_stdout_closed_early_prints_no_traceback():
+    import subprocess
+    import sys
+
+    # The reader goes away before the command writes, as `| head -c 100` can.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bianchimax", "verify", "--m", "1", "--height", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=30) == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+    assert "orthogonal.lattice[m=1]: " in stderr
+
+
 @pytest.mark.parametrize("height", ["-1", "0", "4", "1000000"])
 def test_verify_height_outside_1_to_3_fails_fast(height):
     import subprocess
@@ -426,17 +466,15 @@ HUGE_ENTRY = json.dumps(
         (["index", "--m", str(HUGE_SQUARE)], None, "m must be below 2**64, got 1000", 4000),
         (["index", "--m", str(HUGE_COFACTOR)], None,
          "m must be below 2**64, got 3518437208889100", 614),
-        # past the 2**44 limit, so factoring f stops after trial division to 2**22
-        (["classify"], LARGE_DIAGONAL.replace(str(LARGE_PRIME), str(HUGE_COFACTOR)),
-         "cannot factor 3518437208889100", 614),
         (["vd", "--m", "1", "--d", str(HUGE_SQUARE)], None, "d = 1000", 4000),
-        (["classify"], LARGE_DIAGONAL.replace(str(LARGE_PRIME), str(HUGE_SQUARE)),
-         "denominator part must be squarefree, 2**2 divides 1000", 4000),
+        # no prime factor below 2**22: trial division of f would take seconds
+        (["classify"], LARGE_DIAGONAL.replace(str(LARGE_PRIME), str(2 * HUGE_SQUARE + 1)),
+         "denominator part must be below 2**66, got 2000", 4000),
         # the message quotes repr(det A), which is 18 characters longer than its digits
         (["classify"], HUGE_ENTRY, "det A = KElement(m=1, 1000", 4018),
     ],
-    ids=["index-4000-digit-square", "index-614-digit-m", "classify-cofactor-past-2**44",
-         "vd-huge-d", "classify-huge-f", "classify-huge-entry"],
+    ids=["index-4000-digit-square", "index-614-digit-m", "vd-huge-d", "classify-huge-f",
+         "classify-huge-entry"],
 )
 def test_huge_integer_is_quoted_briefly(args, stdin_text, error, length):
     import subprocess

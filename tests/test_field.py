@@ -433,6 +433,9 @@ class TestIdeals:
             IdealHNF(1, ((2, 0), (1, 2)))
         with pytest.raises(TypeError):
             IdealHNF(1, ((1, 0), (0, 5)))
+        # not even an object with no slots set
+        with pytest.raises(TypeError, match=r"from_generators or IdealHNF\.principal"):
+            IdealHNF()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 11])
     def test_hnf_matches_covolume_oracle(self, m):
@@ -509,6 +512,16 @@ class TestSquarefreeDivisors:
         n = (2**31 - 1) * (2**61 - 1)
         with pytest.raises(ValueError, match=f"cannot factor {n}.*2\\*\\*44"):
             prime_factors(n)
+
+    def test_huge_unfactored_cofactor_is_quoted_briefly(self):
+        # past the 2**44 limit, so factoring stops after trial division to 2**22
+        n = 10**600 * 35184372088891
+        with pytest.raises(ValueError) as info:
+            prime_factors(n)
+        message = str(info.value)
+        assert message.startswith("cannot factor 3518437208889100")
+        assert "... (length 614): cofactor 35184372088891 has no" in message
+        assert len(message) < 200
 
     def test_squarefree_part(self):
         assert squarefree_part(1) == 1

@@ -97,6 +97,28 @@ class TestCanonicalForm:
         assert message.startswith(prefix)
         assert len(message) < 200 and "... (length 40" in message
 
+    def test_f_at_or_above_the_cap_raises(self):
+        # the cap comes before factoring f, which could take seconds
+        for f in (2**66, 2 * HUGE + 1):
+            with pytest.raises(ValueError, match=r"^denominator part must be below 2\*\*66, got \d"):
+                ExtendedMatrix(f, diagonal(f))
+
+    def test_f_just_below_the_cap_is_accepted(self):
+        # 2**66 - 3 = 61*5147*19813*11861659991 is squarefree
+        f = 2**66 - 3
+        mat = ExtendedMatrix(f, diagonal(f))
+        assert (mat.f, mat.g) == (f, 1)
+
+    def test_no_route_builds_f_at_or_above_the_cap(self):
+        # from_integral and products pass through the same cap as the constructor
+        f = 2**66 + 1  # 5 * 13 * 397 * 2113 * 312709 * 4327489, squarefree
+        with pytest.raises(ValueError, match=r"^denominator part must be below 2\*\*66"):
+            ExtendedMatrix.from_integral(f, diagonal(f))
+        # 2**34 - 1 and 2**34 + 1 are coprime and squarefree; their product is 2**68 - 1
+        low, high = (ExtendedMatrix(f, diagonal(f)) for f in (2**34 - 1, 2**34 + 1))
+        with pytest.raises(ValueError, match=r"^denominator part must be below 2\*\*66"):
+            low * high
+
     def test_non_squarefree_f_raises(self):
         rows = ((k(1, 4), k(1, 0)), (k(1, 0), k(1, 1)))
         with pytest.raises(ValueError, match="squarefree"):

@@ -5,6 +5,8 @@ from math import isqrt
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bianchimax import (
     ExtendedMatrix,
@@ -26,7 +28,7 @@ from bianchimax import (
     spin_map,
     squarefree_divisors,
 )
-from bianchimax.orthogonal import _det4
+from bianchimax.orthogonal import _bareiss_det4, _det4
 from bianchimax.sampling import (
     integral_matrices_with_det,
     matrix_from_coords,
@@ -186,6 +188,16 @@ def sigma_dual_basis(params):
         hermitian_coords(0, 0, sigma),
         hermitian_coords(0, 0, sigma * params.theta),
     )
+
+
+def dual_kernel_oracle(phi_map):
+    """Oracle: P v - v is integral for every vector v of the dual basis."""
+    cols = tuple(zip(*phi_map.rows))
+    for v in dual_basis(field_params(phi_map.m)):
+        for i in range(4):
+            if (sum(x * col[i] for x, col in zip(v, cols)) - v[i]).denominator != 1:
+                return False
+    return True
 
 
 def gram_q(m, v):
@@ -553,14 +565,51 @@ class TestDiscriminantKernel:
         with pytest.raises(ValueError, match="lattice"):
             in_discriminant_kernel(bad)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        st.sampled_from(NINE_FIELDS),
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-4, 4)),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    def test_closed_form_matches_dual_oracle_on_unimodular_matrices(self, m, ops):
+        """Integral matrices with det +-1 from elementary row operations: an
+        operation (i, j, c) adds c times row j to row i, or swaps rows i and
+        i + 1 (mod 4) when i == j.  Dropping the swaps and scaling every c by
+        |d_K| gives a product congruent to I mod |d_K|, which is in the kernel."""
+        disc = abs(field_params(m).d_K)
+
+        def product(scale):
+            rows = [list(row) for row in BASIS]
+            for i, j, c in ops:
+                if i == j:
+                    if scale == 1:
+                        nxt = (i + 1) % 4
+                        rows[i], rows[nxt] = rows[nxt], rows[i]
+                else:
+                    rows[i] = [x + c * scale * y for x, y in zip(rows[i], rows[j])]
+            return tuple(tuple(row) for row in rows)
+
+        for scale in (1, disc):
+            rows = product(scale)
+            det = _bareiss_det4([list(row) for row in rows])
+            assert det == det4_oracle(rows) and abs(det) == 1
+            phi = OrthoMap(m, rows)
+            assert preserves_lattice(phi)
+            assert in_discriminant_kernel(phi) == dual_kernel_oracle(phi)
+        assert in_discriminant_kernel(phi)
+
+    @pytest.mark.parametrize("m", NINE_FIELDS)
     def test_kernel_iff_trivial_coset(self, m):
+        # the closed form and the dual-basis oracle agree, and hold exactly for d = 1
         params = field_params(m)
         rng = Random(f"disc:{m}")
         for d in squarefree_divisors(params.d_K):
-            for _ in range(5):
-                mat = random_coset_element(rng, params, d)
-                assert in_discriminant_kernel(spin_map(mat)) == (d == 1)
+            for _ in range(8):
+                image = spin_map(random_coset_element(rng, params, d))
+                assert in_discriminant_kernel(image) == dual_kernel_oracle(image) == (d == 1)
 
 
 class TestKSquareRoot:
