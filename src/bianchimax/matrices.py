@@ -208,8 +208,13 @@ def is_algebraic_integer(z: KElement, f: int) -> bool:
     """Whether w = z / sqrt(f) is an algebraic integer, for f positive squarefree.
 
     w is a root of the monic X**2 - w**2 with w**2 = z*z/f in K, so w is
-    integral exactly when w**2 lies in the ring of integers.
+    integral exactly when w**2 lies in the ring of integers.  f must also be
+    below 2**66, the cap on every ExtendedMatrix's f, which is checked before
+    f is factored.
     """
-    if f <= 0 or repeated_prime(f) is not None:
-        raise ValueError(f"f must be a positive squarefree integer, got {f}")
+    if f <= 0:
+        raise ValueError(f"f must be a positive squarefree integer, got {_quote(f)}")
+    _check_f_bound(f)
+    if repeated_prime(f) is not None:
+        raise ValueError(f"f must be a positive squarefree integer, got {_quote(f)}")
     return (z * z / f).is_integral()

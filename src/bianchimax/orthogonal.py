@@ -93,14 +93,19 @@ def _transpose(a: Mat4) -> Mat4:
     return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))  # type: ignore[return-value]
 
 
+def _integer_rows(a: Mat4) -> tuple[int, list[list[int]]]:
+    """(D, D*a): D is the least common denominator of the entries of a."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in a]
+
+
 def _det4(a: Mat4) -> Fraction:
     """Determinant of a rational matrix: det a = det(D*a) / D**4.
 
     D is the common denominator of the entries, so D*a is an integer matrix
     and _bareiss_det4 finds its determinant exactly.
     """
-    den = lcm(*(x.denominator for row in a for x in row))
-    rows = [[x.numerator * (den // x.denominator) for x in row] for row in a]
+    den, rows = _integer_rows(a)
     return Fraction(_bareiss_det4(rows), den**4)
 
 
@@ -375,11 +380,18 @@ def k_square_root(z: KElement) -> tuple[int, KElement] | None:
 
 
 def _first_entry_sign(mat: ExtendedMatrix) -> int:
-    for z in mat.entries:
-        if z.x != 0:
-            return 1 if z.x > 0 else -1
-        if z.y != 0:
-            return 1 if z.y > 0 else -1
+    """The sign of the first nonzero rational coordinate pair (x, y), row-major.
+
+    An entry (a + b*theta)/g has x = (2a + t*b)/(2g) and y = b/(2g) when
+    t = 1, or x = a/g and y = b/g when t = 0.  Since g > 0, x has the sign
+    of 2a + t*b and y that of b, read off the integer coordinates.
+    """
+    t = field_params(mat.m).theta_trace
+    c = mat.coords
+    for i in range(0, 8, 2):
+        for v in (2 * c[i] + t * c[i + 1], c[i + 1]):
+            if v:
+                return 1 if v > 0 else -1
     return 1
 
 
@@ -387,19 +399,41 @@ def sign_normalize(mat: ExtendedMatrix) -> ExtendedMatrix:
     """Pick the representative of {M, -M} whose first nonzero entry is positive.
 
     Positivity of an entry means lexicographic positivity of its rational
-    coordinate pair (x, y); scanning is row-major.
+    coordinate pair (x, y); scanning is row-major.  The signs are read off
+    the integer coordinates of g*A, with no K-element built.
     """
     return mat if _first_entry_sign(mat) > 0 else -mat
 
 
-def _solve_theta_system(
-    params: FieldParams, plain: KElement, twisted: KElement
-) -> tuple[KElement, KElement]:
-    """Solve X + Y = plain, theta*X + conj(theta)*Y = twisted for (X, Y)."""
-    theta = params.theta
-    theta_bar = theta.conjugate()
-    x = (theta_bar * plain - twisted) / (theta_bar - theta)
-    return x, plain - x
+def _anchor_products(phi_map: OrthoMap) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(q, pairs): q*e*conj(y)/f in theta-coordinates, for y = a, b, c, d in turn.
+
+    The anchor e and the products are those of _lift_raw.  D is the common
+    denominator of phi_map, so the columns of P = D*phi_map are integral.  The
+    products a*conj(b)/f and a*conj(d)/f are the X of a system X + Y = p/D,
+    theta*X + conj(theta)*Y = w/D read off the columns, whose Y is
+    conj(a)*b/f and b*conj(c)/f.  Since (conj(theta) - theta)**2 = t**2 - 4n
+    = d_K, its solution is X = (conj(theta)*p - w)*(conj(theta) - theta) /
+    (D*d_K), with conj(theta) = (t, -1) and conj(theta) - theta = (t, -2) in
+    theta-coordinates.  So every product has the denominator q = D*d_K.
+    """
+    params = field_params(phi_map.m)
+    t, n, d_K = params.theta_trace, params.theta_norm, params.d_K
+    den, rows = _integer_rows(phi_map.rows)
+    c1, c2, c3, c4 = zip(*rows)
+
+    def solve(p: tuple[int, int], w: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+        u0, u1 = theta_product(t, n, t, -1, *p)
+        x = theta_product(t, n, u0 - w[0], u1 - w[1], t, -2)
+        return x, (p[0] * d_K - x[0], p[1] * d_K - x[1])
+
+    a_bbar, abar_b = solve((c3[0], 0), (c4[0], 0))
+    a_dbar, b_cbar = solve(c3[2:], c4[2:])
+    if c1[0] != 0:
+        pairs = ((c1[0] * d_K, 0), a_bbar, (c1[2] * d_K, c1[3] * d_K), a_dbar)
+    else:
+        pairs = (abar_b, (c2[0] * d_K, 0), b_cbar, (c2[2] * d_K, c2[3] * d_K))
+    return den * d_K, pairs
 
 
 def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
@@ -411,29 +445,28 @@ def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
     a*conj(d) and b*conj(c) in their off-diagonal parts.  Take e = a if |a|^2 != 0,
     else e = b (a zero first row would make det A vanish).  Then p_y = e*conj(y)/f
     has p_a*p_d - p_b*p_c = e**2/f, whose root x/sqrt(f) stands for e, and each
-    entry y is conj(p_y)*f/conj(x).
+    entry y is conj(p_y)*f/conj(x).  _anchor_products finds q*p_y on integers,
+    and the anchor square is formed on them over q**2, so K-elements are built
+    only for the square root and the recovery step.
     """
     params = field_params(phi_map.m)
-    c1, c2, c3, c4 = zip(*phi_map.rows)
-    a_bbar, _ = _solve_theta_system(params, params.element(c3[0], 0), params.element(c4[0], 0))
-    a_dbar, b_cbar = _solve_theta_system(
-        params, params.from_theta_coords(*c3[2:]), params.from_theta_coords(*c4[2:])
-    )
-    if c1[0] != 0:
-        products = (params.element(c1[0], 0), a_bbar, params.from_theta_coords(*c1[2:]), a_dbar)
-    else:
-        products = (
-            a_bbar.conjugate(), params.element(c2[0], 0), b_cbar, params.from_theta_coords(*c2[2:])
-        )
-    p_a, p_b, p_c, p_d = products
-    root = k_square_root(p_a * p_d - p_b * p_c)
+    t, n = params.theta_trace, params.theta_norm
+    q, pairs = _anchor_products(phi_map)
+    p_a, p_b, p_c, p_d = pairs
+    ad0, ad1 = theta_product(t, n, *p_a, *p_d)
+    bc0, bc1 = theta_product(t, n, *p_b, *p_c)
+    square = params.from_theta_coords(Fraction(ad0 - bc0, q * q), Fraction(ad1 - bc1, q * q))
+    root = k_square_root(square)
     if root is None:
         raise LiftError("root", "anchor entry squared has no root of the form x/sqrt(f)")
     f, x = root
     if x.is_zero():
         raise LiftError("root", "anchor entry vanished despite a nonzero norm")
     scale = x.conjugate().inverse() * f
-    a, b, c, d = (p.conjugate() * scale for p in products)
+    a, b, c, d = (
+        params.from_theta_coords(Fraction(p0, q), Fraction(p1, q)).conjugate() * scale
+        for p0, p1 in pairs
+    )
     try:
         return ExtendedMatrix(f, ((a, b), (c, d)))
     except ValueError as exc:

@@ -258,6 +258,23 @@ class TestMinimalPolynomials:
         assert is_algebraic_integer(k(5, 0, 2), 2)
         assert not is_algebraic_integer(k(5, 0, 1), 2)
 
+    @pytest.mark.parametrize("f", [HUGE, 2 * 10**30 + 1], ids=["10**3999", "2*10**30+1"])
+    def test_huge_f_fails_fast_with_a_short_message(self, f, monkeypatch):
+        # the cap comes before factoring f: 2*10**30 + 1 took 0.7 s of trial division
+        def no_factoring(n):
+            raise AssertionError("f was factored")
+
+        monkeypatch.setattr("bianchimax.matrices.repeated_prime", no_factoring)
+        with pytest.raises(ValueError, match=r"^denominator part must be below 2\*\*66, got \d") as info:
+            is_algebraic_integer(k(1, 1), f)
+        assert len(str(info.value)) < 200
+
+    def test_non_positive_or_non_squarefree_f_raises(self):
+        for f in (0, -HUGE, 12):
+            with pytest.raises(ValueError, match="^f must be a positive squarefree integer") as info:
+                is_algebraic_integer(k(1, 1), f)
+            assert len(str(info.value)) < 200
+
     def test_invalid_f_raises(self):
         with pytest.raises(ValueError):
             is_algebraic_integer(k(1, 1), 4)

@@ -28,7 +28,7 @@ from bianchimax import (
     spin_map,
     squarefree_divisors,
 )
-from bianchimax.orthogonal import _bareiss_det4, _det4
+from bianchimax.orthogonal import _anchor_products, _bareiss_det4, _det4, _first_entry_sign
 from bianchimax.sampling import (
     integral_matrices_with_det,
     matrix_from_coords,
@@ -198,6 +198,44 @@ def dual_kernel_oracle(phi_map):
             if (sum(x * col[i] for x, col in zip(v, cols)) - v[i]).denominator != 1:
                 return False
     return True
+
+
+def theta_system_oracle(phi_map):
+    """The anchor products e*conj(y)/f of _lift_raw for y = a, b, c, d, by
+    K-element arithmetic on the columns: each system X + Y = plain,
+    theta*X + conj(theta)*Y = twisted is solved by division."""
+    params = field_params(phi_map.m)
+    theta = params.theta
+    theta_bar = theta.conjugate()
+
+    def solve(plain, twisted):
+        x = (theta_bar * plain - twisted) / (theta_bar - theta)
+        return x, plain - x
+
+    c1, c2, c3, c4 = zip(*phi_map.rows)
+    a_bbar, _ = solve(params.element(c3[0], 0), params.element(c4[0], 0))
+    a_dbar, b_cbar = solve(params.from_theta_coords(*c3[2:]), params.from_theta_coords(*c4[2:]))
+    if c1[0] != 0:
+        return (params.element(c1[0], 0), a_bbar, params.from_theta_coords(*c1[2:]), a_dbar)
+    return (a_bbar.conjugate(), params.element(c2[0], 0), b_cbar, params.from_theta_coords(*c2[2:]))
+
+
+def first_entry_sign_oracle(mat):
+    """The sign of the first nonzero (x, y) over the K-element entries, row-major."""
+    for z in mat.entries:
+        if z.x != 0:
+            return 1 if z.x > 0 else -1
+        if z.y != 0:
+            return 1 if z.y > 0 else -1
+    return 1
+
+
+def imaginary_unit(m):
+    """(1/sqrt(m)) * diag(sqrt(-m), -sqrt(-m)), which is diag(i, -i): it
+    turns real entries into purely imaginary ones."""
+    params = field_params(m)
+    zero = params.integer(0)
+    return ExtendedMatrix(m, ((params.element(0, 1), zero), (zero, params.element(0, -1))))
 
 
 def gram_q(m, v):
@@ -771,9 +809,9 @@ class TestSpinLift:
             spin_lift(bad)
         assert err.value.stage == "component"
 
-    def test_rejects_rational_orthogonal_outside_image(self):
-        # a rotation by an angle whose lift would need sqrt(-1) entries in
-        # Q(sqrt(-2)): rotate the two definite axes by a rational rotation
+    def test_rejects_rational_rotation_off_the_form(self):
+        # a rational rotation of the off-diagonal coordinates (a, b) does not
+        # preserve -a**2 - 2*b**2 for m = 2: c**2 + 2*s**2 = 41/25
         c, s = Fraction(3, 5), Fraction(4, 5)
         rows = (
             (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
@@ -782,8 +820,37 @@ class TestSpinLift:
             (Fraction(0), Fraction(0), s, c),
         )
         bad = OrthoMap(2, rows)
-        with pytest.raises(LiftError):
+        with pytest.raises(LiftError) as err:
             spin_lift(bad)
+        assert err.value.stage == "orthogonality"
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        st.sampled_from(NINE_FIELDS),
+        st.sampled_from(["coset", "ambient", "zero_corner"]),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    def test_integer_route_matches_the_k_element_oracles(self, m, kind, imaginary, seed):
+        """Coset, ambient and zero-corner elements, optionally times diag(i, -i)
+        so that a zero upper-left entry is followed by a purely imaginary one."""
+        params = field_params(m)
+        rng = Random(seed)
+        if kind == "coset":
+            mat = random_coset_element(rng, params, rng.choice(squarefree_divisors(params.d_K)))
+        elif kind == "ambient":
+            mat = random_ambient_element(rng, params)
+        else:
+            mat = random_zero_corner_element(rng, params, rng.choice((1, 2)))
+        if imaginary:
+            mat = imaginary_unit(m) * mat
+        phi = spin_map(mat)
+        q, pairs = _anchor_products(phi)
+        products = tuple(params.from_theta_coords(Fraction(a, q), Fraction(b, q)) for a, b in pairs)
+        assert products == theta_system_oracle(phi)
+        for signed in (mat, -mat):
+            assert _first_entry_sign(signed) == first_entry_sign_oracle(signed)
+        assert spin_lift(phi) == sign_normalize(mat)
 
     @pytest.mark.parametrize("m", [1, 5])
     def test_lift_of_image_products_classifies(self, m):
