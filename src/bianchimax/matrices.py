@@ -78,6 +78,21 @@ def _check_f_bound(f: int) -> None:
         raise ValueError(f"denominator part must be below 2**66, got {_quote(f)}")
 
 
+def _check_canonical(m: int, f: int, g: int, coords: Coords) -> None:
+    """Raise ValueError unless f is positive, below 2**66 and squarefree and
+    the matrix A with coordinates coords/g has det A = f.
+
+    These are the constructor's checks; the cap comes before f is factored.
+    """
+    if f <= 0:
+        raise ValueError(f"denominator part must be positive, got {_quote(f)}")
+    _check_f_bound(f)
+    p = repeated_prime(f)
+    if p is not None:
+        raise ValueError(f"denominator part must be squarefree, {p}**2 divides {_quote(f)}")
+    _check_det(m, g, coords, "A", "f", f)
+
+
 class ExtendedMatrix:
     """(1/sqrt(f)) * A with f squarefree, 1 <= f < 2**66, A over K and det A = f.
 
@@ -89,13 +104,7 @@ class ExtendedMatrix:
 
     def __init__(self, f: int, rows: Sequence[Sequence[KElement]]) -> None:
         m, g, coords = _scaled_coords(rows)
-        if f <= 0:
-            raise ValueError(f"denominator part must be positive, got {_quote(f)}")
-        _check_f_bound(f)
-        p = repeated_prime(f)
-        if p is not None:
-            raise ValueError(f"denominator part must be squarefree, {p}**2 divides {_quote(f)}")
-        _check_det(m, g, coords, "A", "f", f)
+        _check_canonical(m, f, g, coords)
         self._set(m, f, g, coords)
 
     def _set(self, m: int, f: int, g: int, coords: Coords) -> None:
@@ -128,10 +137,13 @@ class ExtendedMatrix:
         """Canonicalize (1/sqrt(d))*M for an integral matrix M with det M = d.
 
         Like every other route, this raises ValueError if the squarefree part
-        f of d is not below 2**66.
+        f of d is not below 2**66.  d itself must be below 2**132 =
+        (2**66)**2, which is checked before d is factored.
         """
         if d <= 0:
             raise ValueError(f"d must be a positive integer, got {_quote(d)}")
+        if d >= 2**132:
+            raise ValueError(f"d must be below 2**132, got {_quote(d)}")
         m, scale, coords = _scaled_coords(rows)
         if scale != 1:
             entry = next(z for row in rows for z in row if not z.is_integral())

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .field import (
     FieldParams,
@@ -32,7 +32,7 @@ from .field import (
     squarefree_part,
     theta_product,
 )
-from .matrices import ExtendedMatrix
+from .matrices import ExtendedMatrix, _check_canonical
 
 Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
 Mat4 = tuple[Vec4, Vec4, Vec4, Vec4]
@@ -445,9 +445,17 @@ def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
     a*conj(d) and b*conj(c) in their off-diagonal parts.  Take e = a if |a|^2 != 0,
     else e = b (a zero first row would make det A vanish).  Then p_y = e*conj(y)/f
     has p_a*p_d - p_b*p_c = e**2/f, whose root x/sqrt(f) stands for e, and each
-    entry y is conj(p_y)*f/conj(x).  _anchor_products finds q*p_y on integers,
-    and the anchor square is formed on them over q**2, so K-elements are built
-    only for the square root and the recovery step.
+    entry y is conj(p_y)*f/conj(x).  _anchor_products finds P_y = q*p_y on
+    integers, and the anchor square is formed on them over q**2; K-elements are
+    built only for k_square_root's argument and result.  With x = X/xd for an
+    integer pair X, 1/conj(x) = X*xd/N(X), so
+
+        y = conj(P_y)*X * f*xd / (q*N(X)),
+
+    and g*A has the integer coordinates conj(P_y)*X*(f*xd/c) with
+    g = q*N(X)/c, where c = -gcd(f*xd, q*N(X)) has the sign of q.  The
+    constructor's checks run on that (f, g, g*A) before the common factor of
+    g and g*A is cancelled; any failure is a LiftError at "verification".
     """
     params = field_params(phi_map.m)
     t, n = params.theta_trace, params.theta_norm
@@ -462,13 +470,17 @@ def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
     f, x = root
     if x.is_zero():
         raise LiftError("root", "anchor entry vanished despite a nonzero norm")
-    scale = x.conjugate().inverse() * f
-    a, b, c, d = (
-        params.from_theta_coords(Fraction(p0, q), Fraction(p1, q)).conjugate() * scale
-        for p0, p1 in pairs
+    xd = lcm(x.a.denominator, x.b.denominator)
+    x0, x1 = x.a.numerator * (xd // x.a.denominator), x.b.numerator * (xd // x.b.denominator)
+    den = q * (x0 * x0 + t * x0 * x1 + n * x1 * x1)
+    c = -gcd(f * xd, den)  # q = D*d_K is negative, so g = den/c is positive
+    g, scale = den // c, f * xd // c
+    coords = tuple(
+        y * scale for p0, p1 in pairs for y in theta_product(t, n, p0 + t * p1, -p1, x0, x1)
     )
     try:
-        return ExtendedMatrix(f, ((a, b), (c, d)))
+        _check_canonical(phi_map.m, f, g, coords)  # type: ignore[arg-type]
+        return ExtendedMatrix._reduced(phi_map.m, f, g, coords)  # type: ignore[arg-type]
     except ValueError as exc:
         raise LiftError("verification", f"recovered matrix is inconsistent: {exc}") from exc
 

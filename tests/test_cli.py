@@ -153,6 +153,17 @@ class TestPhiAndLift:
         assert code == 1
         assert "stage orthogonality" in json.loads(out)["error"]
 
+    def test_lift_with_f_above_the_cap_fails_at_verification(self, capsys, monkeypatch):
+        # diag(f, 1/f, 1, 1) passes all three gates; its lift (1/sqrt(f))*diag(f, 1)
+        # has f = 2**66 + 1 (squarefree) above the cap
+        f = 2**66 + 1
+        flat = [str(f), "0", "0", "0", "0", f"1/{f}"] + ["0"] * 4 + ["1", "0", "0", "0", "0", "1"]
+        code, out, err = run_cli(capsys, monkeypatch, ["lift"], json.dumps({"m": 1, "P": flat}))
+        assert code == 1
+        message = json.loads(out)["error"]
+        assert message.startswith("lift failed at stage verification")
+        assert "below 2**66" in message and "Traceback" not in err
+
 
 class TestIndexAndTable:
     def test_index(self, capsys, monkeypatch):

@@ -119,6 +119,22 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match=r"^denominator part must be below 2\*\*66"):
             low * high
 
+    @pytest.mark.parametrize("d", [2 * HUGE + 1, 2**132], ids=["2*10**3999+1", "2**132"])
+    def test_huge_d_fails_fast_with_a_short_message(self, d, monkeypatch):
+        # the bound comes before factoring d: 2*10**3999 + 1 took 9.5 s of trial division
+        def no_factoring(n):
+            raise AssertionError("d was factored")
+
+        monkeypatch.setattr("bianchimax.matrices.squarefree_part", no_factoring)
+        with pytest.raises(ValueError, match=r"^d must be below 2\*\*132, got \d") as info:
+            ExtendedMatrix.from_integral(d, diagonal(d))
+        assert len(str(info.value)) < 200
+
+    def test_d_just_below_the_bound_is_accepted(self):
+        # 2**131 = (2**65)**2 * 2: f = 2 and g = 2**65
+        mat = ExtendedMatrix.from_integral(2**131, diagonal(2**131))
+        assert (mat.f, mat.g) == (2, 2**65)
+
     def test_non_squarefree_f_raises(self):
         rows = ((k(1, 4), k(1, 0)), (k(1, 0), k(1, 1)))
         with pytest.raises(ValueError, match="squarefree"):

@@ -28,7 +28,13 @@ from bianchimax import (
     spin_map,
     squarefree_divisors,
 )
-from bianchimax.orthogonal import _anchor_products, _bareiss_det4, _det4, _first_entry_sign
+from bianchimax.orthogonal import (
+    _anchor_products,
+    _bareiss_det4,
+    _det4,
+    _first_entry_sign,
+    _lift_raw,
+)
 from bianchimax.sampling import (
     integral_matrices_with_det,
     matrix_from_coords,
@@ -218,6 +224,33 @@ def theta_system_oracle(phi_map):
     if c1[0] != 0:
         return (params.element(c1[0], 0), a_bbar, params.from_theta_coords(*c1[2:]), a_dbar)
     return (a_bbar.conjugate(), params.element(c2[0], 0), b_cbar, params.from_theta_coords(*c2[2:]))
+
+
+def lift_raw_oracle(phi_map):
+    """_lift_raw by K-element arithmetic: the anchor products p_y of
+    theta_system_oracle, the root x/sqrt(f) of p_a*p_d - p_b*p_c, and each
+    entry y = conj(p_y)*f/conj(x), validated by the ExtendedMatrix constructor."""
+    p_a, p_b, p_c, p_d = products = theta_system_oracle(phi_map)
+    root = k_square_root(p_a * p_d - p_b * p_c)
+    if root is None:
+        raise LiftError("root", "anchor entry squared has no root of the form x/sqrt(f)")
+    f, x = root
+    if x.is_zero():
+        raise LiftError("root", "anchor entry vanished despite a nonzero norm")
+    scale = x.conjugate().inverse() * f
+    a, b, c, d = (p.conjugate() * scale for p in products)
+    try:
+        return ExtendedMatrix(f, ((a, b), (c, d)))
+    except ValueError as exc:
+        raise LiftError("verification", f"recovered matrix is inconsistent: {exc}") from exc
+
+
+def lift_outcome(lift, phi_map):
+    """The matrix lift returns, or the type and LiftError stage of what it raises."""
+    try:
+        return lift(phi_map)
+    except Exception as exc:  # the type is the outcome
+        return type(exc), getattr(exc, "stage", None)
 
 
 def first_entry_sign_oracle(mat):
@@ -851,6 +884,66 @@ class TestSpinLift:
         for signed in (mat, -mat):
             assert _first_entry_sign(signed) == first_entry_sign_oracle(signed)
         assert spin_lift(phi) == sign_normalize(mat)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(
+        st.sampled_from(NINE_FIELDS),
+        st.sampled_from(["coset", "ambient", "zero_corner"]),
+        st.booleans(),
+        st.sampled_from([None, "shift", "double", "negate"]),
+        st.integers(0, 2**32),
+    )
+    def test_integer_recovery_matches_the_k_element_oracle(
+        self, m, kind, imaginary, perturb, seed
+    ):
+        """_lift_raw against lift_raw_oracle on spin images, optionally twisted
+        by diag(i, -i), and on maps perturbed off the image: one entry moved
+        by 1/2 (often no root), the map times 2 or times -I (same lift up to
+        sign).  Both must give the same matrix or fail the same way."""
+        params = field_params(m)
+        rng = Random(seed)
+        if kind == "coset":
+            mat = random_coset_element(rng, params, rng.choice(squarefree_divisors(params.d_K)))
+        elif kind == "ambient":
+            mat = random_ambient_element(rng, params)
+        else:
+            mat = random_zero_corner_element(rng, params, rng.choice((1, 2)))
+        if imaginary:
+            mat = imaginary_unit(m) * mat
+        rows = [list(row) for row in spin_map(mat).rows]
+        if perturb == "shift":
+            rows[rng.randrange(4)][rng.randrange(4)] += Fraction(1, 2)
+        elif perturb is not None:
+            factor = 2 if perturb == "double" else -1
+            rows = [[factor * x for x in row] for row in rows]
+        phi = OrthoMap(m, rows)
+        got = lift_outcome(_lift_raw, phi)
+        assert got == lift_outcome(lift_raw_oracle, phi)
+        if perturb != "shift":
+            assert sign_normalize(got) == sign_normalize(mat)
+
+    def test_root_stage_on_a_map_that_fails_the_gates(self):
+        # the m = 2 rotation of test_rejects_rational_rotation_off_the_form:
+        # called directly, _lift_raw finds no root for its anchor square
+        c, s = Fraction(3, 5), Fraction(4, 5)
+        bad = OrthoMap(2, ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, c, -s), (0, 0, s, c)))
+        assert not bad.is_orthogonal()
+        for lift in (_lift_raw, lift_raw_oracle):
+            with pytest.raises(LiftError) as err:
+                lift(bad)
+            assert err.value.stage == "root"
+
+    def test_f_above_the_cap_fails_at_verification(self):
+        # diag(f, 1/f, 1, 1) is the image of (1/sqrt(f))*diag(f, 1) and passes
+        # all three gates; f = 2**66 + 1 = 5*13*397*2113*312709*4327489 is
+        # squarefree but above the cap, so only the recovered matrix fails
+        f = 2**66 + 1
+        phi = OrthoMap(1, ((f, 0, 0, 0), (0, Fraction(1, f), 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+        assert phi.is_orthogonal() and phi.determinant() == 1 and phi.maps_positive_cone()
+        for lift in (spin_lift, _lift_raw, lift_raw_oracle):
+            with pytest.raises(LiftError, match=r"below 2\*\*66") as err:
+                lift(phi)
+            assert type(err.value) is LiftError and err.value.stage == "verification"
 
     @pytest.mark.parametrize("m", [1, 5])
     def test_lift_of_image_products_classifies(self, m):
