@@ -68,29 +68,16 @@ def _check_det(m: int, g: int, coords: Coords, matrix: str, name: str, value: in
 
 
 def _check_f_bound(f: int) -> None:
-    """Raise ValueError unless f < 2**66.
+    """Raise ValueError unless 0 < f < 2**66.
 
     Every member of a maximal extension has f dividing |d_K| <= 4m, and m is
     below 2**64, so the bound follows from the cap on m.  It stops a huge f
     before anything factors it.
     """
-    if f >= 2**66:
-        raise ValueError(f"denominator part must be below 2**66, got {_quote(f)}")
-
-
-def _check_canonical(m: int, f: int, g: int, coords: Coords) -> None:
-    """Raise ValueError unless f is positive, below 2**66 and squarefree and
-    the matrix A with coordinates coords/g has det A = f.
-
-    These are the constructor's checks; the cap comes before f is factored.
-    """
     if f <= 0:
         raise ValueError(f"denominator part must be positive, got {_quote(f)}")
-    _check_f_bound(f)
-    p = repeated_prime(f)
-    if p is not None:
-        raise ValueError(f"denominator part must be squarefree, {p}**2 divides {_quote(f)}")
-    _check_det(m, g, coords, "A", "f", f)
+    if f >= 2**66:
+        raise ValueError(f"denominator part must be below 2**66, got {_quote(f)}")
 
 
 class ExtendedMatrix:
@@ -104,7 +91,11 @@ class ExtendedMatrix:
 
     def __init__(self, f: int, rows: Sequence[Sequence[KElement]]) -> None:
         m, g, coords = _scaled_coords(rows)
-        _check_canonical(m, f, g, coords)
+        _check_f_bound(f)  # before f is factored
+        p = repeated_prime(f)
+        if p is not None:
+            raise ValueError(f"denominator part must be squarefree, {p}**2 divides {_quote(f)}")
+        _check_det(m, g, coords, "A", "f", f)
         self._set(m, f, g, coords)
 
     def _set(self, m: int, f: int, g: int, coords: Coords) -> None:

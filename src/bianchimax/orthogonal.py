@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import Any, Sequence
 
 from .field import (
     FieldParams,
@@ -32,10 +33,11 @@ from .field import (
     squarefree_part,
     theta_product,
 )
-from .matrices import ExtendedMatrix, _check_canonical
+from .matrices import ExtendedMatrix, _check_det
 
 Vec4 = tuple[Fraction, Fraction, Fraction, Fraction]
 Mat4 = tuple[Vec4, Vec4, Vec4, Vec4]
+_IntMat4 = tuple[tuple[int, ...], ...]
 
 
 def _require_vec4(v: Vec4) -> None:
@@ -54,59 +56,36 @@ class LiftError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def gram_matrix(m: int) -> Mat4:
-    """Polar form of q on the fixed basis; q(v) = v^t G v exactly."""
+def _twice_gram(m: int) -> tuple[_IntMat4, _IntMat4]:
+    """(T, U) = (2G, |d_K|*(2G)^-1), the quadratic form as two integer matrices.
+
+    2G is block diagonal, [[0, 1], [1, 0]] beside B = [[-2, -t], [-t, -2n]],
+    and det B = 4n - t**2 = |d_K|.  So U is |d_K|*[[0, 1], [1, 0]] beside the
+    adjugate [[-2n, t], [t, -2]] of B, and T*U = |d_K|*I.
+    """
     params = field_params(m)
-    half = Fraction(1, 2)
-    t = params.theta_trace
-    n = params.theta_norm
-    zero = Fraction(0)
-    return (
-        (zero, half, zero, zero),
-        (half, zero, zero, zero),
-        (zero, zero, Fraction(-1), -t * half),
-        (zero, zero, -t * half, Fraction(-n)),
-    )
+    t, n, disc = params.theta_trace, params.theta_norm, abs(params.d_K)
+    twice_gram = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, -2, -t), (0, 0, -t, -2 * n))
+    scaled_inverse = ((0, disc, 0, 0), (disc, 0, 0, 0), (0, 0, -2 * n, t), (0, 0, t, -2))
+    return twice_gram, scaled_inverse
 
 
 @lru_cache(maxsize=None)
-def _gram_inverse(m: int) -> Mat4:
-    """G^-1, from the inverses of the two diagonal 2x2 blocks of G."""
-    g = gram_matrix(m)
-    inv = [[Fraction(0)] * 4 for _ in range(4)]
-    for i in (0, 2):
-        (a, b), (c, d) = g[i][i:i + 2], g[i + 1][i:i + 2]
-        det = a * d - b * c
-        inv[i][i:i + 2] = d / det, -b / det
-        inv[i + 1][i:i + 2] = -c / det, a / det
-    return tuple(tuple(row) for row in inv)  # type: ignore[return-value]
+def gram_matrix(m: int) -> Mat4:
+    """Polar form of q on the fixed basis; q(v) = v^t G v exactly."""
+    gram = tuple(tuple(Fraction(x, 2) for x in row) for row in _twice_gram(m)[0])
+    return gram  # type: ignore[return-value]
 
 
-def _mat_mul(a: Mat4, b: Mat4) -> Mat4:
+def _mat_mul(a: Sequence[Sequence[Any]], b: Sequence[Sequence[Any]]) -> Any:
+    """The product of two 4x4 matrices, of ints or of Fractions."""
     return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4))
-        for i in range(4)
-    )  # type: ignore[return-value]
+        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)) for i in range(4)
+    )
 
 
-def _transpose(a: Mat4) -> Mat4:
-    return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))  # type: ignore[return-value]
-
-
-def _integer_rows(a: Mat4) -> tuple[int, list[list[int]]]:
-    """(D, D*a): D is the least common denominator of the entries of a."""
-    den = lcm(*(x.denominator for row in a for x in row))
-    return den, [[x.numerator * (den // x.denominator) for x in row] for row in a]
-
-
-def _det4(a: Mat4) -> Fraction:
-    """Determinant of a rational matrix: det a = det(D*a) / D**4.
-
-    D is the common denominator of the entries, so D*a is an integer matrix
-    and _bareiss_det4 finds its determinant exactly.
-    """
-    den, rows = _integer_rows(a)
-    return Fraction(_bareiss_det4(rows), den**4)
+def _transpose(a: Sequence[Sequence[Any]]) -> Any:
+    return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))
 
 
 def _bareiss_det4(rows: list[list[int]]) -> int:
@@ -132,9 +111,16 @@ def _bareiss_det4(rows: list[list[int]]) -> int:
 
 
 class OrthoMap:
-    """Exact rational 4x4 matrix acting on fixed-basis coordinates."""
+    """Exact rational 4x4 matrix P acting on fixed-basis coordinates.
 
-    __slots__ = ("m", "rows")
+    P is held as num/den: `den` >= 1 is the least common denominator of its
+    entries and `num` the integer rows of den*P, so gcd(den, *num) == 1.  The
+    pair is as unique as P, so equality and hashing compare integers, and
+    products, inverses and the lattice tests run on Python ints.  The
+    Fraction entries are the derived view `rows`.
+    """
+
+    __slots__ = ("m", "den", "num")
 
     def __init__(self, m: int, rows: Mat4) -> None:
         frozen = tuple(tuple(row) for row in rows)
@@ -143,33 +129,46 @@ class OrthoMap:
         for row in frozen:
             for x in row:
                 _require_exact(x)
-        frozen = tuple(tuple(Fraction(x) for x in row) for row in frozen)
+        entries = tuple(tuple(Fraction(x) for x in row) for row in frozen)
+        den = lcm(*(x.denominator for row in entries for x in row))
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in entries)
+        self._set(m, den, num)
+
+    def _set(self, m: int, den: int, num: _IntMat4) -> None:
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "rows", frozen)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "num", num)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("OrthoMap is immutable")
 
     @classmethod
-    def _raw(cls, m: int, rows: Mat4) -> "OrthoMap":
-        """Wrap rows that are already a 4x4 tuple of Fractions, unchecked."""
+    def _reduced(cls, m: int, den: int, num: _IntMat4) -> "OrthoMap":
+        """The map num/den for den >= 1, after cancelling common factors of den and num."""
+        common = gcd(den, *(x for row in num for x in row))
+        if common > 1:
+            den //= common
+            num = tuple(tuple(x // common for x in row) for row in num)
         phi = object.__new__(cls)
-        object.__setattr__(phi, "m", m)
-        object.__setattr__(phi, "rows", rows)
+        phi._set(m, den, num)
         return phi
 
     @classmethod
     def identity(cls, m: int) -> "OrthoMap":
-        rows = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-        return cls(m, rows)  # type: ignore[arg-type]
+        return cls._reduced(m, 1, tuple(tuple(int(i == j) for j in range(4)) for i in range(4)))
+
+    @property
+    def rows(self) -> Mat4:
+        rows = tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
+        return rows  # type: ignore[return-value]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrthoMap):
             return NotImplemented
-        return self.m == other.m and self.rows == other.rows
+        return (self.m, self.den, self.num) == (other.m, other.den, other.num)
 
     def __hash__(self) -> int:
-        return hash((self.m, self.rows))
+        return hash((self.m, self.den, self.num))
 
     def __repr__(self) -> str:
         return f"OrthoMap(m={self.m}, rows={self.rows})"
@@ -179,35 +178,41 @@ class OrthoMap:
             return NotImplemented
         if other.m != self.m:
             raise ValueError(f"mixed fields: m={self.m} vs m={other.m}")
-        return OrthoMap(self.m, _mat_mul(self.rows, other.rows))
+        return OrthoMap._reduced(self.m, self.den * other.den, _mat_mul(self.num, other.num))
 
     def inverse(self) -> "OrthoMap":
-        """G^-1 P^t G, the inverse of a map that preserves the form."""
+        """G^-1 P^t G, the inverse of a map that preserves the form.
+
+        With P = num/den and (T, U) from _twice_gram, G^-1 P^t G =
+        (2G)^-1 P^t (2G) = U num^t T / (den*|d_K|).
+        """
         if not self.is_orthogonal():
             raise ValueError("inverse requires a map that preserves the quadratic form")
-        g_inverse_pt = _mat_mul(_gram_inverse(self.m), _transpose(self.rows))
-        return OrthoMap(self.m, _mat_mul(g_inverse_pt, gram_matrix(self.m)))
+        twice_gram, scaled_inverse = _twice_gram(self.m)
+        num = _mat_mul(_mat_mul(scaled_inverse, _transpose(self.num)), twice_gram)
+        return OrthoMap._reduced(self.m, self.den * abs(field_params(self.m).d_K), num)
 
     def apply(self, v: Vec4) -> Vec4:
         """The coordinates of the image of the Hermitian matrix with coordinates v."""
         _require_vec4(v)
-        image = tuple(sum(x * y for x, y in zip(row, v)) for row in self.rows)
+        image = tuple(Fraction(sum(x * y for x, y in zip(row, v)), self.den) for row in self.num)
         return image  # type: ignore[return-value]
 
     def determinant(self) -> Fraction:
-        return _det4(self.rows)
+        """det P = det(num) / den**4."""
+        return Fraction(_bareiss_det4([list(row) for row in self.num]), self.den**4)
 
     def is_orthogonal(self) -> bool:
-        g = gram_matrix(self.m)
-        return _mat_mul(_mat_mul(_transpose(self.rows), g), self.rows) == g
+        g, rows = gram_matrix(self.m), self.rows
+        return _mat_mul(_mat_mul(_transpose(rows), g), rows) == g
 
     def maps_positive_cone(self) -> bool:
         """Identity-component test: the image c1 + c2 of E = H1 + H2 has positive trace."""
-        (s1_h1, s1_h2, _, _), (s2_h1, s2_h2, _, _) = self.rows[:2]
+        (s1_h1, s1_h2, _, _), (s2_h1, s2_h2, _, _) = self.num[:2]
         return s1_h1 + s1_h2 + s2_h1 + s2_h2 > 0
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for row in self.rows for x in row)
+        return self.den == 1
 
 
 def spin_map(mat: ExtendedMatrix) -> OrthoMap:
@@ -225,8 +230,8 @@ def spin_map(mat: ExtendedMatrix) -> OrthoMap:
                conj(theta)*beta*conj(gamma) + theta*alpha*conj(delta)).
 
     These are quadratic in A, so they are evaluated on the integer
-    coordinates of g*A and divided by f*g**2 once.  Columns of the result
-    are the coordinates of the images of H1..H4.
+    coordinates of g*A and the map is their matrix over f*g**2.  Columns of
+    the result are the coordinates of the images of H1..H4.
     """
     params = field_params(mat.m)
     t, n = params.theta_trace, params.theta_norm
@@ -263,53 +268,42 @@ def spin_map(mat: ExtendedMatrix) -> OrthoMap:
             thetabar_b_cbar[1] + theta_a_dbar[1],
         ),
     )
-    den = mat.f * mat.g * mat.g
-    rows = tuple(tuple(Fraction(col[i], den) for col in cols) for i in range(4))
-    return OrthoMap._raw(mat.m, rows)  # type: ignore[arg-type]
+    return OrthoMap._reduced(mat.m, mat.f * mat.g * mat.g, tuple(zip(*cols)))
 
 
 def preserves_lattice(phi_map: OrthoMap) -> bool:
     """Whether the map and its inverse both keep integral coordinates integral.
 
     An integral matrix has an integral inverse exactly when its determinant
-    is a unit, so this is: integral with determinant +-1.  Once the map is
-    integral its determinant is that of its numerators, with no scaling.
+    is a unit, so this is: integral with determinant +-1.
     """
-    if not phi_map.is_integral():
-        return False
-    return abs(_bareiss_det4([[x.numerator for x in row] for row in phi_map.rows])) == 1
-
-
-@lru_cache(maxsize=None)
-def _dual_coords(m: int) -> Mat4:
-    """A Z-basis of the dual lattice under the trace pairing 2B(u, v) = 2 u^t G v.
-
-    A vector v is in the dual lattice when 2B(H_j, v) is an integer for every
-    basis matrix H_j, that is when 2G v is integral; so the dual lattice is
-    (2G)^-1 Z^4 and the columns of (2G)^-1 = G^-1 / 2 are the basis dual to
-    H1..H4.  G^-1 is symmetric, so its rows are its columns.
-    """
-    return tuple(tuple(x / 2 for x in row) for row in _gram_inverse(m))  # type: ignore[return-value]
+    return phi_map.den == 1 and abs(_bareiss_det4([list(row) for row in phi_map.num])) == 1
 
 
 def dual_basis(params: FieldParams) -> Mat4:
-    """The Z-basis of the dual lattice dual to H1..H4, as coordinates."""
-    return _dual_coords(params.m)
+    """The Z-basis of the dual lattice dual to H1..H4, as coordinates.
+
+    A vector v is in the dual lattice under the trace pairing 2B(u, v) =
+    2 u^t G v when 2G v is integral, so the dual lattice is (2G)^-1 Z^4 and
+    the columns of (2G)^-1 = U/|d_K| are the basis dual to H1..H4.  U is
+    symmetric, so its rows are its columns.
+    """
+    disc = abs(params.d_K)
+    basis = tuple(tuple(Fraction(x, disc) for x in row) for row in _twice_gram(params.m)[1])
+    return basis  # type: ignore[return-value]
 
 
 def in_dual_lattice(params: FieldParams, v: Vec4) -> bool:
     """Membership in the dual lattice: 2G v is integral."""
     _require_vec4(v)
     return all(
-        sum(2 * g * x for g, x in zip(row, v)).denominator == 1
-        for row in gram_matrix(params.m)
+        sum(x * y for x, y in zip(row, v)).denominator == 1 for row in _twice_gram(params.m)[0]
     )
 
 
 def dual_lattice_index(params: FieldParams) -> int:
     """Index of the integral Hermitian lattice in its dual: |det 2G| = |d_K|."""
-    twice_gram = tuple(tuple(2 * x for x in row) for row in gram_matrix(params.m))
-    return int(abs(_det4(twice_gram)))  # type: ignore[arg-type]
+    return abs(_bareiss_det4([list(row) for row in _twice_gram(params.m)[0]]))
 
 
 def in_discriminant_kernel(phi_map: OrthoMap) -> bool:
@@ -325,21 +319,19 @@ def in_discriminant_kernel(phi_map: OrthoMap) -> bool:
 def _in_discriminant_kernel(phi_map: OrthoMap) -> bool:
     """in_discriminant_kernel for a map P already known to preserve the lattice.
 
-    P acts trivially on dual/lattice when (P - I)(2G)^-1 is integral.  Here
-    2G is block diagonal, [[0, 1], [1, 0]] beside B = [[-2, -t], [-t, -2n]]
-    with det B = |d_K|.  The first block is unimodular and P is integral, so
-    only the columns through B^-1 = [[-2n, t], [t, -2]] / |d_K| matter: with
-    u and w the third and fourth entries of row i of P - I, the test is that
-    t*w - 2n*u and t*u - 2*w are divisible by |d_K| for every row i.  The
-    precondition matters: for a map that is not integral this answer means
-    nothing.
+    P acts trivially on dual/lattice when (P - I)(2G)^-1 = (P - I)U/|d_K| is
+    integral, with U from _twice_gram.  P is integral and the first block of
+    U is |d_K| times a unimodular one, so only the columns through its second
+    block matter: with u and w the third and fourth entries of row i of P - I,
+    the test is that (u, w) times that block is divisible by |d_K| for every
+    row i.  The precondition matters: for a map that is not integral this
+    answer means nothing.
     """
-    params = field_params(phi_map.m)
-    t, two_n, disc = params.theta_trace, 2 * params.theta_norm, abs(params.d_K)
-    for i, row in enumerate(phi_map.rows):
-        u = row[2].numerator - (i == 2)
-        w = row[3].numerator - (i == 3)
-        if (t * w - two_n * u) % disc or (t * u - 2 * w) % disc:
+    (_, disc, _, _), _, (_, _, b11, b12), (_, _, b21, b22) = _twice_gram(phi_map.m)[1]
+    for i, row in enumerate(phi_map.num):
+        u = row[2] - (i == 2)
+        w = row[3] - (i == 3)
+        if (u * b11 + w * b21) % disc or (u * b12 + w * b22) % disc:
             return False
     return True
 
@@ -408,8 +400,8 @@ def sign_normalize(mat: ExtendedMatrix) -> ExtendedMatrix:
 def _anchor_products(phi_map: OrthoMap) -> tuple[int, tuple[tuple[int, int], ...]]:
     """(q, pairs): q*e*conj(y)/f in theta-coordinates, for y = a, b, c, d in turn.
 
-    The anchor e and the products are those of _lift_raw.  D is the common
-    denominator of phi_map, so the columns of P = D*phi_map are integral.  The
+    The anchor e and the products are those of _lift_raw.  D = phi_map.den, so
+    the columns of P = D*phi_map are those of phi_map.num, integral.  The
     products a*conj(b)/f and a*conj(d)/f are the X of a system X + Y = p/D,
     theta*X + conj(theta)*Y = w/D read off the columns, whose Y is
     conj(a)*b/f and b*conj(c)/f.  Since (conj(theta) - theta)**2 = t**2 - 4n
@@ -419,8 +411,7 @@ def _anchor_products(phi_map: OrthoMap) -> tuple[int, tuple[tuple[int, int], ...
     """
     params = field_params(phi_map.m)
     t, n, d_K = params.theta_trace, params.theta_norm, params.d_K
-    den, rows = _integer_rows(phi_map.rows)
-    c1, c2, c3, c4 = zip(*rows)
+    c1, c2, c3, c4 = zip(*phi_map.num)
 
     def solve(p: tuple[int, int], w: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
         u0, u1 = theta_product(t, n, t, -1, *p)
@@ -433,7 +424,7 @@ def _anchor_products(phi_map: OrthoMap) -> tuple[int, tuple[tuple[int, int], ...
         pairs = ((c1[0] * d_K, 0), a_bbar, (c1[2] * d_K, c1[3] * d_K), a_dbar)
     else:
         pairs = (abar_b, (c2[0] * d_K, 0), b_cbar, (c2[2] * d_K, c2[3] * d_K))
-    return den * d_K, pairs
+    return phi_map.den * d_K, pairs
 
 
 def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
@@ -453,9 +444,12 @@ def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
         y = conj(P_y)*X * f*xd / (q*N(X)),
 
     and g*A has the integer coordinates conj(P_y)*X*(f*xd/c) with
-    g = q*N(X)/c, where c = -gcd(f*xd, q*N(X)) has the sign of q.  The
-    constructor's checks run on that (f, g, g*A) before the common factor of
-    g and g*A is cancelled; any failure is a LiftError at "verification".
+    g = q*N(X)/c, where c = -gcd(f*xd, q*N(X)) has the sign of q.
+    k_square_root factors the anchor square once, and a factor beyond
+    prime_factors' limit is a LiftError at "root".  Its f is a squarefree
+    part, so of the constructor's checks only det A = f runs on that
+    (f, g, g*A), and 0 < f < 2**66 when the common factor of g and g*A is
+    cancelled; any failure is a LiftError at "verification".
     """
     params = field_params(phi_map.m)
     t, n = params.theta_trace, params.theta_norm
@@ -464,7 +458,10 @@ def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
     ad0, ad1 = theta_product(t, n, *p_a, *p_d)
     bc0, bc1 = theta_product(t, n, *p_b, *p_c)
     square = params.from_theta_coords(Fraction(ad0 - bc0, q * q), Fraction(ad1 - bc1, q * q))
-    root = k_square_root(square)
+    try:
+        root = k_square_root(square)
+    except ValueError as exc:
+        raise LiftError("root", f"anchor entry squared: {exc}") from exc
     if root is None:
         raise LiftError("root", "anchor entry squared has no root of the form x/sqrt(f)")
     f, x = root
@@ -479,7 +476,7 @@ def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
         y * scale for p0, p1 in pairs for y in theta_product(t, n, p0 + t * p1, -p1, x0, x1)
     )
     try:
-        _check_canonical(phi_map.m, f, g, coords)  # type: ignore[arg-type]
+        _check_det(phi_map.m, g, coords, "A", "f", f)  # type: ignore[arg-type]
         return ExtendedMatrix._reduced(phi_map.m, f, g, coords)  # type: ignore[arg-type]
     except ValueError as exc:
         raise LiftError("verification", f"recovered matrix is inconsistent: {exc}") from exc

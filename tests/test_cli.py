@@ -9,6 +9,13 @@ from bianchimax.cli import main
 from bianchimax.serialize import orthomap_to_json
 
 
+# diag(p, 1/p, 1, 1) for m = 1 and the prime p = 2**61 - 1
+P_PAST_FACTORING = 2**61 - 1
+LIFT_PAST_FACTORING = json.dumps({"m": 1, "P": [
+    str(P_PAST_FACTORING), "0", "0", "0", "0", f"1/{P_PAST_FACTORING}"
+] + ["0"] * 4 + ["1", "0", "0", "0", "0", "1"]})
+
+
 def run_cli(capsys, monkeypatch, args, stdin_text=None):
     if stdin_text is not None:
         import io
@@ -164,6 +171,15 @@ class TestPhiAndLift:
         assert message.startswith("lift failed at stage verification")
         assert "below 2**66" in message and "Traceback" not in err
 
+    def test_lift_with_a_prime_beyond_the_factoring_limit_fails_at_root(self, capsys, monkeypatch):
+        # diag(p, 1/p, 1, 1) passes all three gates; its anchor square has the
+        # prime factor p = 2**61 - 1, which trial division cannot reach
+        code, out, err = run_cli(capsys, monkeypatch, ["lift"], LIFT_PAST_FACTORING)
+        assert code == 1
+        message = json.loads(out)["error"]
+        assert message.startswith("lift failed at stage root")
+        assert "cannot factor" in message and "Traceback" not in err
+
 
 class TestIndexAndTable:
     def test_index(self, capsys, monkeypatch):
@@ -309,6 +325,7 @@ LARGE_DIAGONAL = json.dumps(
         (["index", "--m", str(LARGE_PRIME)], None, "cannot factor"),
         (["vd", "--m", "1", "--d", str(LARGE_PRIME)], None, "does not divide"),
         (["classify"], LARGE_DIAGONAL, "cannot factor"),
+        (["lift"], LIFT_PAST_FACTORING, "lift failed at stage root"),
         # no prime factor below 2**22: trial division would take seconds
         (["index", "--m", str(2 * 10**3999 + 1)], None, "m must be below 2**64"),
     ],

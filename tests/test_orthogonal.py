@@ -1,13 +1,14 @@
 import re
 from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bianchimax.field
 from bianchimax import (
     ExtendedMatrix,
     KElement,
@@ -31,7 +32,6 @@ from bianchimax import (
 from bianchimax.orthogonal import (
     _anchor_products,
     _bareiss_det4,
-    _det4,
     _first_entry_sign,
     _lift_raw,
 )
@@ -271,6 +271,45 @@ def imaginary_unit(m):
     return ExtendedMatrix(m, ((params.element(0, 1), zero), (zero, params.element(0, -1))))
 
 
+def random_element(rng, params, kind):
+    """A coset, ambient or zero-corner element of the field, drawn from rng."""
+    if kind == "coset":
+        return random_coset_element(rng, params, rng.choice(squarefree_divisors(params.d_K)))
+    if kind == "ambient":
+        return random_ambient_element(rng, params)
+    return random_zero_corner_element(rng, params, rng.choice((1, 2)))
+
+
+def diagonal_image(f):
+    """diag(f, 1/f, 1, 1) for m = 1, the spin image of (1/sqrt(f))*diag(f, 1)."""
+    return OrthoMap(1, ((f, 0, 0, 0), (0, Fraction(1, f), 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+
+
+def mat_mul_oracle(a, b):
+    """The product of two 4x4 matrices over Fractions, entry by entry."""
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(4)) for j in range(4)) for i in range(4)
+    )
+
+
+def inverse_oracle(phi_map):
+    """G^-1 P^t G over Fractions: G from the trace pairing of the basis, and
+    its inverse by Gauss-Jordan elimination."""
+    params = field_params(phi_map.m)
+    gram = [[pairing(params, u, v) / 2 for v in BASIS] for u in BASIS]
+    aug = [row + [Fraction(int(i == j)) for j in range(4)] for i, row in enumerate(gram)]
+    for col in range(4):
+        pivot = next(r for r in range(col, 4) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for r in range(4):
+            factor = aug[r][col]
+            if r != col and factor:
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    gram_inverse = [row[4:] for row in aug]
+    return mat_mul_oracle(mat_mul_oracle(gram_inverse, tuple(zip(*phi_map.rows))), gram)
+
+
 def gram_q(m, v):
     """q(v) = v^t G v through the library's Gram matrix."""
     gram = gram_matrix(m)
@@ -467,8 +506,13 @@ class TestLatticeAutomorphisms:
                 assert preserves_lattice(image)
 
 
+def det4(a):
+    return OrthoMap(1, a).determinant()
+
+
 class TestDeterminant:
-    """_det4 runs fraction-free on integers; det4_oracle eliminates over Fractions."""
+    """OrthoMap.determinant runs fraction-free on the integer numerators;
+    det4_oracle eliminates over Fractions."""
 
     def random_rational(self, rng, zero_share=0.0):
         return tuple(
@@ -484,7 +528,7 @@ class TestDeterminant:
         rng = Random("det4")
         for _ in range(200):
             a = self.random_rational(rng)
-            assert _det4(a) == det4_oracle(a)
+            assert det4(a) == det4_oracle(a)
 
     def test_sparse_matrices_with_zero_pivots(self):
         rng = Random("det4:sparse")
@@ -492,7 +536,7 @@ class TestDeterminant:
         for _ in range(300):
             a = self.random_rational(rng, zero_share=0.6)
             swaps += a[0][0] == 0
-            det = _det4(a)
+            det = det4(a)
             singular += det == 0
             assert det == det4_oracle(a)
         assert swaps > 100 and singular > 50
@@ -504,12 +548,12 @@ class TestDeterminant:
             (0, 0, 5, 0),
             (0, 1, 0, Fraction(-7, 60)),
         )
-        assert _det4(a) == det4_oracle(a) != 0
+        assert det4(a) == det4_oracle(a) != 0
 
     def test_zero_pivot_after_the_first_step(self):
         # the (2,2) entry vanishes only after eliminating the first column
         a = ((1, 2, 0, 0), (1, 2, 1, 0), (0, 1, 0, 0), (0, 0, 0, Fraction(1, 2)))
-        assert _det4(a) == det4_oracle(a) == Fraction(-1, 2)
+        assert det4(a) == det4_oracle(a) == Fraction(-1, 2)
 
     def test_singular(self):
         rng = Random("det4:singular")
@@ -517,7 +561,7 @@ class TestDeterminant:
             r0, r1, r2, _ = self.random_rational(rng)
             c = Fraction(rng.randint(-9, 9), rng.randint(1, 60))
             r3 = tuple(x + c * y for x, y in zip(r0, r2))
-            assert _det4((r0, r1, r2, r3)) == 0 == det4_oracle((r0, r1, r2, r3))
+            assert det4((r0, r1, r2, r3)) == 0 == det4_oracle((r0, r1, r2, r3))
 
 
 class TestOrthoMapInverse:
@@ -537,6 +581,51 @@ class TestOrthoMapInverse:
     def test_map_not_preserving_the_form_raises(self):
         with pytest.raises(ValueError, match="quadratic form"):
             DIAG_2111.inverse()
+
+
+class TestOrthoMapStorage:
+    """An OrthoMap is held as (den, num) with num/den its matrix; the Fraction
+    oracles above run on the derived rows."""
+
+    def test_storage_of_a_rational_map(self):
+        phi = OrthoMap(1, identity_rows_with(Fraction(-3, 4), 1, 2))
+        assert (phi.den, phi.num[1]) == (4, (0, 4, -3, 0))
+        assert phi.rows == identity_rows_with(Fraction(-3, 4), 1, 2)
+        assert not phi.is_integral() and phi.determinant() == 1
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        st.sampled_from(NINE_FIELDS),
+        st.sampled_from(["coset", "ambient", "zero_corner"]),
+        st.sampled_from(["coset", "ambient", "zero_corner"]),
+        st.integers(0, 2**32),
+    )
+    def test_integer_storage_matches_the_fraction_oracle(self, m, kind, other_kind, seed):
+        """Spin images, their products and inverses, and a map with one entry
+        moved by 1/2: each is canonical and rebuilt equal from its rows, and
+        * and inverse agree with Fraction arithmetic on the rows."""
+        params = field_params(m)
+        rng = Random(seed)
+        phi = spin_map(random_element(rng, params, kind))
+        psi = spin_map(random_element(rng, params, other_kind))
+        rows = [list(row) for row in phi.rows]
+        rows[rng.randrange(4)][rng.randrange(4)] += Fraction(1, 2)
+        shifted = OrthoMap(m, rows)
+        for x, y in ((phi, psi), (psi, phi), (phi, shifted), (shifted, psi)):
+            assert (x * y).rows == mat_mul_oracle(x.rows, y.rows)
+        maps = [phi, psi, phi * psi, shifted, shifted * phi]
+        for x in maps[:3]:
+            maps.append(x.inverse())
+            assert maps[-1].rows == inverse_oracle(x)
+        if shifted.is_orthogonal():
+            assert shifted.inverse().rows == inverse_oracle(shifted)
+        else:
+            with pytest.raises(ValueError, match="quadratic form"):
+                shifted.inverse()
+        for x in maps:
+            rebuilt = OrthoMap(m, x.rows)
+            assert rebuilt == x and hash(rebuilt) == hash(x)
+            assert x.den >= 1 and gcd(x.den, *(v for row in x.num for v in row)) == 1
 
 
 class TestDualLattice:
@@ -869,12 +958,7 @@ class TestSpinLift:
         so that a zero upper-left entry is followed by a purely imaginary one."""
         params = field_params(m)
         rng = Random(seed)
-        if kind == "coset":
-            mat = random_coset_element(rng, params, rng.choice(squarefree_divisors(params.d_K)))
-        elif kind == "ambient":
-            mat = random_ambient_element(rng, params)
-        else:
-            mat = random_zero_corner_element(rng, params, rng.choice((1, 2)))
+        mat = random_element(rng, params, kind)
         if imaginary:
             mat = imaginary_unit(m) * mat
         phi = spin_map(mat)
@@ -902,12 +986,7 @@ class TestSpinLift:
         sign).  Both must give the same matrix or fail the same way."""
         params = field_params(m)
         rng = Random(seed)
-        if kind == "coset":
-            mat = random_coset_element(rng, params, rng.choice(squarefree_divisors(params.d_K)))
-        elif kind == "ambient":
-            mat = random_ambient_element(rng, params)
-        else:
-            mat = random_zero_corner_element(rng, params, rng.choice((1, 2)))
+        mat = random_element(rng, params, kind)
         if imaginary:
             mat = imaginary_unit(m) * mat
         rows = [list(row) for row in spin_map(mat).rows]
@@ -944,6 +1023,29 @@ class TestSpinLift:
             with pytest.raises(LiftError, match=r"below 2\*\*66") as err:
                 lift(phi)
             assert type(err.value) is LiftError and err.value.stage == "verification"
+
+    def test_prime_beyond_the_factoring_limit_fails_at_root(self):
+        # diag(p, 1/p, 1, 1) passes all three gates, but its anchor square has
+        # the prime factor p = 2**61 - 1, past the reach of prime_factors
+        phi = diagonal_image(2**61 - 1)
+        assert phi.is_orthogonal() and phi.determinant() == 1 and phi.maps_positive_cone()
+        for lift in (spin_lift, _lift_raw):
+            with pytest.raises(LiftError, match="cannot factor") as err:
+                lift(phi)
+            assert type(err.value) is LiftError and err.value.stage == "root"
+
+    def test_the_lift_factors_f_once(self, monkeypatch):
+        # k_square_root finds f as a squarefree part, so the lift does not
+        # factor it again to check that it is squarefree
+        f = 4194301 * 8796093022151
+        factored = []
+        prime_factors = bianchimax.field.prime_factors
+        monkeypatch.setattr(
+            bianchimax.field, "prime_factors", lambda n: factored.append(n) or prime_factors(n)
+        )
+        lifted = spin_lift(diagonal_image(f))
+        assert (lifted.f, lifted.g, lifted.coords) == (f, 1, (f, 0, 0, 0, 0, 0, 1, 0))
+        assert factored == [f]
 
     @pytest.mark.parametrize("m", [1, 5])
     def test_lift_of_image_products_classifies(self, m):

@@ -3,9 +3,12 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bianchimax import (
     KElement,
+    OrthoMap,
     atkin_lehner,
     field_params,
     kelement_from_json,
@@ -15,9 +18,17 @@ from bianchimax import (
     orthomap_from_json,
     orthomap_to_json,
     spin_map,
+    squarefree_divisors,
 )
 from bianchimax.serialize import fraction_from_str, fraction_to_str
-from bianchimax.sampling import random_ambient_element
+from bianchimax.sampling import (
+    random_ambient_element,
+    random_coset_element,
+    random_zero_corner_element,
+)
+
+NINE_FIELDS = [1, 2, 3, 5, 6, 7, 10, 11, 15]
+EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
 
 class TestRationalStrings:
@@ -84,9 +95,9 @@ class TestMatrixJson:
         # true == 1 in Python, so a bool would pass as the integer 1
         obj = matrix_to_json(atkin_lehner(field_params(1), 1))
         assert obj[key] == 1
-        obj[key] = True
-        with pytest.raises(ValueError, match="integers"):
-            matrix_from_json(obj)
+        for value in (True, False):
+            with pytest.raises(ValueError, match="integers"):
+                matrix_from_json(through_json(dict(obj, **{key: value})))
 
     def test_non_canonical_entry_rejected(self):
         obj = matrix_to_json(atkin_lehner(field_params(1), 2))
@@ -128,7 +139,158 @@ class TestOrthoMapJson:
 
     def test_bool_m_and_non_canonical_entry_rejected(self):
         obj = orthomap_to_json(spin_map(atkin_lehner(field_params(1), 2)))
-        with pytest.raises(ValueError, match="integer"):
-            orthomap_from_json(dict(obj, m=True))
+        for value in (True, False):
+            with pytest.raises(ValueError, match="integer"):
+                orthomap_from_json(through_json(dict(obj, m=value)))
         with pytest.raises(ValueError, match="rational"):
             orthomap_from_json(dict(obj, P=["1e0"] + obj["P"][1:]))
+
+
+def random_matrix(m, kind, seed):
+    """A coset, ambient or zero-corner element of the field, drawn from the seed."""
+    params = field_params(m)
+    rng = Random(seed)
+    if kind == "coset":
+        return random_coset_element(rng, params, rng.choice(squarefree_divisors(params.d_K)))
+    if kind == "ambient":
+        return random_ambient_element(rng, params)
+    return random_zero_corner_element(rng, params, rng.choice((1, 2)))
+
+
+MATRICES = st.builds(
+    random_matrix,
+    st.sampled_from(NINE_FIELDS),
+    st.sampled_from(["coset", "ambient", "zero_corner"]),
+    st.integers(0, 2**32),
+)
+RATIONALS = st.fractions(min_value=-(10**12), max_value=10**12, max_denominator=10**12)
+# Spin images, and arbitrary rational maps that are neither orthogonal nor integral.
+ORTHOMAPS = st.builds(spin_map, MATRICES) | st.builds(
+    lambda m, x: OrthoMap(m, [x[4 * i:4 * i + 4] for i in range(4)]),
+    st.sampled_from(NINE_FIELDS),
+    st.lists(RATIONALS, min_size=16, max_size=16),
+)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+def through_json(obj):
+    return json.loads(json.dumps(obj))
+
+
+def non_canonical_spellings(q):
+    """Strings that Fraction or a looser parser could read as q, none canonical."""
+    text, p, d = str(q), q.numerator, q.denominator
+    sign, digits = ("-", text[1:]) if q < 0 else ("", text)
+    spellings = [
+        f"{3 * p}/{3 * d}", "+" + text, f"{sign}0{digits}", text + "/1", f"{p}e0",
+        f" {text}", f"{text} ", text + "\n", f"{sign}{digits[0]}_{digits[1:]}",
+        "".join(chr(0x0660 + int(c)) if c.isdigit() else c for c in text),  # Arabic-Indic
+        f"{p}.0" if d == 1 else repr(float(q)),
+    ]
+    if q == 0:
+        spellings.append("-0")
+    if d > 1:
+        spellings.append(f"{p}/0{d}")
+    return spellings
+
+
+def node_at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def replace_at(obj, path, value):
+    """A copy of the JSON document obj with the node at path replaced by value."""
+    obj = through_json(obj)
+    node_at(obj, path[:-1])[path[-1]] = value
+    return obj
+
+
+# The nodes of each document, and the array nodes of a matrix document: the
+# rows, each row and each entry pair.
+ORTHOMAP_NODES = [("m",), ("P",)] + [("P", i) for i in range(16)]
+MATRIX_ARRAYS = [("A",)] + [("A", i) for i in range(2)] + [
+    ("A", i, j) for i in range(2) for j in range(2)
+]
+MATRIX_NODES = [("m",), ("f",)] + MATRIX_ARRAYS + [
+    ("A", i, j, k) for i in range(2) for j in range(2) for k in range(2)
+]
+
+
+def could_be_valid(path, value):
+    """Whether value has the shape the node at path needs, so that putting it
+    there might leave a valid document."""
+    if path[-1] in ("m", "f"):
+        return isinstance(value, int) and not isinstance(value, bool)
+    if path == ("P",):
+        return isinstance(value, list) and len(value) == 16
+    if path[0] == "P" or len(path) == 4:
+        return isinstance(value, str)
+    return isinstance(value, list) and len(value) == 2
+
+
+class TestParserProperties:
+    """Round trips through a JSON encoder, and every malformed document is a
+    ValueError, never another exception type."""
+
+    @EXAMPLES
+    @given(ORTHOMAPS)
+    def test_orthomap_round_trip(self, phi):
+        obj = orthomap_to_json(phi)
+        assert obj["P"] == [str(x) for row in phi.rows for x in row]
+        assert orthomap_from_json(through_json(obj)) == phi
+
+    @EXAMPLES
+    @given(MATRICES)
+    def test_matrix_round_trip(self, mat):
+        assert matrix_from_json(through_json(matrix_to_json(mat))) == mat
+
+    @EXAMPLES
+    @given(ORTHOMAPS, MATRICES, st.data())
+    def test_wrong_shape_or_length_raises_value_error(self, phi, mat, data):
+        for obj, parse, nodes in (
+            (orthomap_to_json(phi), orthomap_from_json, ORTHOMAP_NODES),
+            (matrix_to_json(mat), matrix_from_json, MATRIX_NODES),
+        ):
+            path = data.draw(st.sampled_from(nodes))
+            value = data.draw(JSON_VALUES.filter(lambda v: not could_be_valid(path, v)))
+            with pytest.raises(ValueError):
+                parse(replace_at(obj, path, value))
+            with pytest.raises(ValueError):
+                parse(value)
+
+    @EXAMPLES
+    @given(ORTHOMAPS, MATRICES, st.data())
+    def test_one_element_too_many_or_too_few_raises_value_error(self, phi, mat, data):
+        for obj, parse, arrays in (
+            (orthomap_to_json(phi), orthomap_from_json, [("P",)]),
+            (matrix_to_json(mat), matrix_from_json, MATRIX_ARRAYS),
+        ):
+            path = data.draw(st.sampled_from(arrays))
+            array = node_at(obj, path)
+            resized = array[:-1] if data.draw(st.booleans()) else array + array[:1]
+            with pytest.raises(ValueError):
+                parse(replace_at(obj, path, resized))
+
+    @EXAMPLES
+    @given(RATIONALS, ORTHOMAPS, MATRICES, st.data())
+    def test_non_canonical_rational_raises_value_error(self, q, phi, mat, data):
+        text = data.draw(st.sampled_from(non_canonical_spellings(q)))
+        with pytest.raises(ValueError, match="rational"):
+            fraction_from_str(text)
+        i, j, k = (data.draw(st.integers(0, n)) for n in (15, 3, 1))
+        with pytest.raises(ValueError, match="rational"):
+            orthomap_from_json(replace_at(orthomap_to_json(phi), ("P", i), text))
+        with pytest.raises(ValueError, match="rational"):
+            matrix_from_json(replace_at(matrix_to_json(mat), ("A", j // 2, j % 2, k), text))
