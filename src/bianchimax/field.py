@@ -480,13 +480,3 @@ def perfect_square_root(n: int) -> int | None:
     r = isqrt(n)
     return r if r * r == n else None
 
-
-def fraction_square_root(q: Fraction) -> Fraction | None:
-    """Exact nonnegative rational square root of q, or None."""
-    num = perfect_square_root(q.numerator)
-    if num is None:
-        return None
-    den = perfect_square_root(q.denominator)
-    if den is None:
-        return None
-    return Fraction(num, den)

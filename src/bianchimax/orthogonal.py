@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Any, Sequence
 
 from .field import (
@@ -29,7 +29,7 @@ from .field import (
     KElement,
     _require_exact,
     field_params,
-    fraction_square_root,
+    perfect_square_root,
     squarefree_part,
     theta_product,
 )
@@ -336,6 +336,42 @@ def _in_discriminant_kernel(phi_map: OrthoMap) -> bool:
     return True
 
 
+def _square_root_coords(m: int, z0: int, z1: int, den: int) -> tuple[int, int, int, int] | None:
+    """k_square_root on integers: z = (z0 + z1*theta)/den for den >= 1.
+
+    Returns (f, x0, x1, xd) for the root x/sqrt(f) with x = (x0 + x1*theta)/xd,
+    or None.  In sqrt(-m) coordinates z = (P + R*sqrt(-m))/D with D = (1 + t)*den,
+    so |z| = S/D for S = isqrt(P**2 + m*R**2), which must be exact.  When
+    P + S > 0, f is the squarefree part of the reduced (P + S)/(2D) = u/v, and
+    x = ((P + S) + R*sqrt(-m))/xd with xd = gcd(P + S, 2D)*sqrt(u*v/f).
+    Otherwise R = 0 and P < 0, and f is the squarefree part of the reduced
+    -P/(m*D), with x = -P*sqrt(-m)/xd the same way.  The root is certified
+    by squaring it: (x0 + x1*theta)**2 * den == f*(z0 + z1*theta)*xd**2.
+    """
+    if z0 == 0 and z1 == 0:
+        return 1, 0, 0, 1
+    t = 1 if m % 4 == 3 else 0
+    n = (1 + m) // 4 if t else m
+    p, r, d = (1 + t) * z0 + t * z1, z1, (1 + t) * den
+    s = perfect_square_root(p * p + m * r * r)
+    if s is None:
+        return None
+    if p + s > 0:
+        re, im, scale = p + s, r, 2 * d
+    else:
+        re, im, scale = 0, -p, m * d
+    top = re or im  # P + S, or -P when P + S = 0
+    g = gcd(top, scale)
+    uv = (top // g) * (scale // g)
+    f = squarefree_part(uv)
+    xd = g * isqrt(uv // f)
+    x0, x1 = (re - im, 2 * im) if t else (re, im)
+    sq0, sq1 = theta_product(t, n, x0, x1, x0, x1)
+    if (sq0 * den, sq1 * den) != (f * z0 * xd * xd, f * z1 * xd * xd):
+        return None
+    return f, x0, x1, xd
+
+
 def k_square_root(z: KElement) -> tuple[int, KElement] | None:
     """Solve (x / sqrt(f))**2 = z exactly, f squarefree positive and minimal.
 
@@ -347,28 +383,19 @@ def k_square_root(z: KElement) -> tuple[int, KElement] | None:
     f*(-p/m) pins f down the same way.  The pair (f, x) representing a fixed
     complex number is unique, so this f is the only candidate; the root
     returned has a > 0, or a = 0 and b > 0, and is certified by squaring it.
+    All of this runs on Python ints, in _square_root_coords, on the integer
+    theta-coordinates of z over their least common denominator; K-elements
+    are built only for z and the root.
     """
-    m, p, q = z.m, z.x, z.y
-    if z.is_zero():
-        return (1, KElement(m, 0, 0))
-    s = fraction_square_root(p * p + m * q * q)
-    if s is None:
+    a, b = z.a, z.b
+    den = lcm(a.denominator, b.denominator)
+    root = _square_root_coords(
+        z.m, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
+    )
+    if root is None:
         return None
-
-    def squarefree_scaling(r: Fraction) -> tuple[int, Fraction]:
-        """(f, sqrt(f*r)) for a rational r > 0 with squarefree part f."""
-        f = squarefree_part(r.numerator * r.denominator)
-        return f, fraction_square_root(f * r)  # type: ignore[return-value]
-
-    if p + s > 0:
-        f, a = squarefree_scaling((p + s) / 2)
-        root = KElement(m, a, f * q / (2 * a))
-    else:
-        f, b = squarefree_scaling(-p / m)
-        root = KElement(m, 0, b)
-    if root * root != KElement(m, f * p, f * q):
-        return None
-    return f, root
+    f, x0, x1, xd = root
+    return f, KElement._raw(z.m, Fraction(x0, xd), Fraction(x1, xd))
 
 
 def _first_entry_sign(mat: ExtendedMatrix) -> int:
@@ -437,15 +464,16 @@ def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
     else e = b (a zero first row would make det A vanish).  Then p_y = e*conj(y)/f
     has p_a*p_d - p_b*p_c = e**2/f, whose root x/sqrt(f) stands for e, and each
     entry y is conj(p_y)*f/conj(x).  _anchor_products finds P_y = q*p_y on
-    integers, and the anchor square is formed on them over q**2; K-elements are
-    built only for k_square_root's argument and result.  With x = X/xd for an
-    integer pair X, 1/conj(x) = X*xd/N(X), so
+    integers, the anchor square is formed on them over q**2, and
+    _square_root_coords, k_square_root's integer core, returns its root as
+    (f, X, xd) with x = X/xd for an integer pair X.  Unless a check fails, no
+    K-element or Fraction is built.  Since 1/conj(x) = X*xd/N(X),
 
         y = conj(P_y)*X * f*xd / (q*N(X)),
 
     and g*A has the integer coordinates conj(P_y)*X*(f*xd/c) with
     g = q*N(X)/c, where c = -gcd(f*xd, q*N(X)) has the sign of q.
-    k_square_root factors the anchor square once, and a factor beyond
+    The root factors the anchor square once, and a factor beyond
     prime_factors' limit is a LiftError at "root".  Its f is a squarefree
     part, so of the constructor's checks only det A = f runs on that
     (f, g, g*A), and 0 < f < 2**66 when the common factor of g and g*A is
@@ -457,18 +485,15 @@ def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
     p_a, p_b, p_c, p_d = pairs
     ad0, ad1 = theta_product(t, n, *p_a, *p_d)
     bc0, bc1 = theta_product(t, n, *p_b, *p_c)
-    square = params.from_theta_coords(Fraction(ad0 - bc0, q * q), Fraction(ad1 - bc1, q * q))
     try:
-        root = k_square_root(square)
+        root = _square_root_coords(phi_map.m, ad0 - bc0, ad1 - bc1, q * q)
     except ValueError as exc:
         raise LiftError("root", f"anchor entry squared: {exc}") from exc
     if root is None:
         raise LiftError("root", "anchor entry squared has no root of the form x/sqrt(f)")
-    f, x = root
-    if x.is_zero():
+    f, x0, x1, xd = root
+    if x0 == 0 and x1 == 0:
         raise LiftError("root", "anchor entry vanished despite a nonzero norm")
-    xd = lcm(x.a.denominator, x.b.denominator)
-    x0, x1 = x.a.numerator * (xd // x.a.denominator), x.b.numerator * (xd // x.b.denominator)
     den = q * (x0 * x0 + t * x0 * x1 + n * x1 * x1)
     c = -gcd(f * xd, den)  # q = D*d_K is negative, so g = den/c is positive
     g, scale = den // c, f * xd // c
@@ -495,7 +520,7 @@ def spin_lift(phi_map: OrthoMap) -> ExtendedMatrix:
     """
     if not phi_map.is_orthogonal():
         raise LiftError("orthogonality", "matrix does not preserve the quadratic form")
-    if phi_map.determinant() != 1:
+    if _bareiss_det4([list(row) for row in phi_map.num]) != phi_map.den**4:
         raise LiftError("determinant", "matrix has determinant != 1")
     if not phi_map.maps_positive_cone():
         raise LiftError("component", "matrix does not map the positive cone to itself")

@@ -3,12 +3,14 @@ from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bianchimax.field
+import bianchimax.orthogonal
 from bianchimax import (
     ExtendedMatrix,
     KElement,
@@ -28,6 +30,7 @@ from bianchimax import (
     spin_lift,
     spin_map,
     squarefree_divisors,
+    squarefree_part,
 )
 from bianchimax.orthogonal import (
     _anchor_products,
@@ -226,12 +229,51 @@ def theta_system_oracle(phi_map):
     return (a_bbar.conjugate(), params.element(c2[0], 0), b_cbar, params.from_theta_coords(*c2[2:]))
 
 
+def fraction_sqrt_oracle(r):
+    """The nonnegative rational square root of r, or None."""
+    num, den = isqrt(max(r.numerator, 0)), isqrt(r.denominator)
+    if r.numerator < 0 or num * num != r.numerator or den * den != r.denominator:
+        return None
+    return Fraction(num, den)
+
+
+def k_square_root_oracle(z):
+    """k_square_root by K-element and Fraction arithmetic: s = |z| from the
+    norm of z = p + q*sqrt(-m), then f and the real part a of the root from
+    (p + s)/2 with b = f*q/(2a), or f and b from -p/m when p + s = 0; the
+    root is certified by squaring it."""
+    m, p, q = z.m, z.x, z.y
+    if z.is_zero():
+        return (1, KElement(m, 0, 0))
+    s = fraction_sqrt_oracle(p * p + m * q * q)
+    if s is None:
+        return None
+
+    def squarefree_scaling(r):
+        f = squarefree_part(r.numerator * r.denominator)
+        return f, fraction_sqrt_oracle(f * r)
+
+    if p + s > 0:
+        f, a = squarefree_scaling((p + s) / 2)
+        root = KElement(m, a, f * q / (2 * a))
+    else:
+        f, b = squarefree_scaling(-p / m)
+        root = KElement(m, 0, b)
+    if root * root != KElement(m, f * p, f * q):
+        return None
+    return f, root
+
+
 def lift_raw_oracle(phi_map):
     """_lift_raw by K-element arithmetic: the anchor products p_y of
-    theta_system_oracle, the root x/sqrt(f) of p_a*p_d - p_b*p_c, and each
-    entry y = conj(p_y)*f/conj(x), validated by the ExtendedMatrix constructor."""
+    theta_system_oracle, the root x/sqrt(f) of p_a*p_d - p_b*p_c by
+    k_square_root_oracle, and each entry y = conj(p_y)*f/conj(x), validated
+    by the ExtendedMatrix constructor."""
     p_a, p_b, p_c, p_d = products = theta_system_oracle(phi_map)
-    root = k_square_root(p_a * p_d - p_b * p_c)
+    try:
+        root = k_square_root_oracle(p_a * p_d - p_b * p_c)
+    except ValueError as exc:
+        raise LiftError("root", f"anchor entry squared: {exc}") from exc
     if root is None:
         raise LiftError("root", "anchor entry squared has no root of the form x/sqrt(f)")
     f, x = root
@@ -837,6 +879,44 @@ class TestKSquareRoot:
         assert found is not None
         assert found[0] == 3
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @given(
+        st.sampled_from(NINE_FIELDS),
+        st.sampled_from(["square", "imaginary", "any", "zero", "beyond_limit"]),
+        st.integers(-40, 40),
+        st.integers(-40, 40),
+        st.integers(1, 12),
+        st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 15, 30, 105]),
+    )
+    def test_integer_root_matches_the_k_element_oracle(self, m, kind, x, y, den, f):
+        """w*w/f for w = (x + y*sqrt(-m))/den, the same with x = 0 (a purely
+        imaginary root), any z (mostly no root), zero, and w*w/f times a prime
+        beyond prime_factors' reach: the same (f, root), the same None or the
+        same ValueError text as k_square_root_oracle.  For that last kind the
+        trial-division limit is cut from 2**22 to 2**10, so that the prime
+        2**31 - 1 is out of reach after microseconds instead of half a second."""
+        w = k(m, Fraction(0 if kind == "imaginary" else x, den), Fraction(y, den))
+        z = {
+            "square": w * w / f,
+            "imaginary": w * w / f,
+            "any": w,
+            "zero": k(m, 0),
+            "beyond_limit": w * w * f * (2**31 - 1) if x or y else k(m, 2**31 - 1),
+        }[kind]
+        limit = 2**10 if kind == "beyond_limit" else bianchimax.field._TRIAL_DIVISION_LIMIT
+        outcomes = []
+        with patch.object(bianchimax.field, "_TRIAL_DIVISION_LIMIT", limit):
+            for root in (k_square_root, k_square_root_oracle):
+                try:
+                    outcomes.append(root(z))
+                except ValueError as exc:
+                    outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if kind in ("square", "imaginary") and not w.is_zero():
+            assert outcomes[0] == (f, w if (w.x, w.y) > (0, 0) else -w)
+        if kind == "beyond_limit":
+            assert outcomes[0].startswith("cannot factor")
+
 
 class TestTwistedRoute:
     """J = [[0, -1], [1, 0]] swaps the first row's entries: A*J has upper-left
@@ -1029,7 +1109,7 @@ class TestSpinLift:
         # the prime factor p = 2**61 - 1, past the reach of prime_factors
         phi = diagonal_image(2**61 - 1)
         assert phi.is_orthogonal() and phi.determinant() == 1 and phi.maps_positive_cone()
-        for lift in (spin_lift, _lift_raw):
+        for lift in (spin_lift, _lift_raw, lift_raw_oracle):
             with pytest.raises(LiftError, match="cannot factor") as err:
                 lift(phi)
             assert type(err.value) is LiftError and err.value.stage == "root"
@@ -1046,6 +1126,25 @@ class TestSpinLift:
         lifted = spin_lift(diagonal_image(f))
         assert (lifted.f, lifted.g, lifted.coords) == (f, 1, (f, 0, 0, 0, 0, 0, 1, 0))
         assert factored == [f]
+
+    @pytest.mark.parametrize("m", NINE_FIELDS)
+    def test_lift_after_the_gates_runs_on_integers(self, m, monkeypatch):
+        # with no K-element and no Fraction to be had, _lift_raw still lifts
+        # coset, ambient and zero-corner images, also twisted by diag(i, -i)
+        params = field_params(m)
+        rng = Random(f"intlift:{m}")
+        mats = [random_element(rng, params, kind) for kind in ("coset", "ambient", "zero_corner")]
+        mats += [imaginary_unit(m) * mat for mat in mats]
+        phis = [spin_map(mat) for mat in mats]
+
+        def forbidden(*args):
+            raise AssertionError("the lift built a KElement or a Fraction")
+
+        monkeypatch.setattr(KElement, "_set", forbidden)
+        monkeypatch.setattr(bianchimax.orthogonal, "Fraction", forbidden)
+        lifted = [_lift_raw(phi) for phi in phis]
+        monkeypatch.undo()
+        assert [sign_normalize(x) for x in lifted] == [sign_normalize(x) for x in mats]
 
     @pytest.mark.parametrize("m", [1, 5])
     def test_lift_of_image_products_classifies(self, m):
