@@ -9,7 +9,8 @@ coordinates with respect to {1, sqrt(-m)}, which the constructor, printing
 and serialization use, are derived.  Only int and Fraction are accepted as
 coordinates.  Ideals of the ring of integers are built only from generators,
 into a lower-triangular Hermite normal form that is canonical by
-construction, so equality is a componentwise comparison.
+construction, so equality is a componentwise comparison; the principal ideal
+of a rational integer is written down in that form directly.
 """
 
 from __future__ import annotations
@@ -124,6 +125,21 @@ def theta_product(t: int, n: int, a1: int, b1: int, a2: int, b2: int) -> tuple[i
 _RationalLike = int | Fraction
 
 
+class _Frozen:
+    """Base of the value types: no attribute can be set or deleted once built.
+
+    Constructors fill their slots through object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 def _require_exact(value: object) -> None:
     """Reject anything but an int (not a bool) or a Fraction."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
@@ -132,7 +148,7 @@ def _require_exact(value: object) -> None:
         )
 
 
-class KElement:
+class KElement(_Frozen):
     """a + b*theta with exact rational a, b, where {1, theta} is the integral basis.
 
     The constructor takes the coordinates x, y of x + y*sqrt(-m), which stay
@@ -151,9 +167,11 @@ class KElement:
         self._set(m, x, y)
 
     def _set(self, m: int, a: _RationalLike, b: _RationalLike) -> None:
+        # Products and sums already yield exact Fractions, which are kept as
+        # they are; an int or a Fraction subclass is converted.
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
+        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
 
     @classmethod
     def _raw(cls, m: int, a: _RationalLike, b: _RationalLike) -> "KElement":
@@ -161,9 +179,6 @@ class KElement:
         z = object.__new__(cls)
         z._set(m, a, b)
         return z
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("KElement is immutable")
 
     @property
     def x(self) -> Fraction:
@@ -283,7 +298,7 @@ class KElement:
         return self.a.denominator == 1 and self.b.denominator == 1
 
 
-class FieldParams:
+class FieldParams(_Frozen):
     """Invariants of K = Q(sqrt(-m)): discriminant and integral generators."""
 
     __slots__ = ("m", "d_K", "theta", "omega")
@@ -293,9 +308,6 @@ class FieldParams:
         object.__setattr__(self, "d_K", d_K)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "omega", omega)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FieldParams is immutable")
 
     def __repr__(self) -> str:
         return (
@@ -384,7 +396,7 @@ def _hnf_from_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, int]:
     return (g, t % residual, residual)
 
 
-class IdealHNF:
+class IdealHNF(_Frozen):
     """An ideal of the ring of integers as a canonical triangular Z-basis.
 
     The basis matrix is lower triangular; its columns are the coordinates of
@@ -400,9 +412,6 @@ class IdealHNF:
         raise TypeError(
             "IdealHNF has no public constructor; use IdealHNF.from_generators or IdealHNF.principal"
         )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IdealHNF is immutable")
 
     @classmethod
     def _raw(cls, m: int, h: tuple[int, int, int]) -> "IdealHNF":
@@ -430,6 +439,13 @@ class IdealHNF:
 
     @classmethod
     def principal(cls, params: FieldParams, z: KElement) -> "IdealHNF":
+        """The ideal z*O_K.  For a rational integer d it is written down:
+        d*O_K has the Z-basis d, d*theta, so its HNF is (|d|, 0, |d|)."""
+        if z.m != params.m:
+            raise ValueError(f"mixed fields: m={params.m} vs m={z.m}")
+        if z.b == 0 and z.a.denominator == 1:
+            d = abs(z.a.numerator)
+            return cls._raw(params.m, (d, 0, d))
         return cls.from_generators(params, [z])
 
     def is_zero(self) -> bool:

@@ -24,6 +24,7 @@ from math import gcd
 from .field import (
     FieldParams,
     IdealHNF,
+    _Frozen,
     _quote,
     field_params,
     repeated_prime,
@@ -32,7 +33,7 @@ from .field import (
 from .matrices import ExtendedMatrix
 
 
-class BezoutPair:
+class BezoutPair(_Frozen):
     """Integers (u, v) with u*d - v*(N(omega)/d) = 1 for a fixed divisor d."""
 
     __slots__ = ("u", "v")
@@ -40,9 +41,6 @@ class BezoutPair:
     def __init__(self, u: int, v: int) -> None:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("BezoutPair is immutable")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BezoutPair):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
-from .field import KElement, _quote, field_params, repeated_prime, squarefree_part, theta_product
+from .field import KElement, _Frozen, _quote, field_params, repeated_prime, squarefree_part, theta_product
 
 Rows = tuple[tuple[KElement, KElement], tuple[KElement, KElement]]
 Coords = tuple[int, int, int, int, int, int, int, int]
@@ -80,7 +80,7 @@ def _check_f_bound(f: int) -> None:
         raise ValueError(f"denominator part must be below 2**66, got {_quote(f)}")
 
 
-class ExtendedMatrix:
+class ExtendedMatrix(_Frozen):
     """(1/sqrt(f)) * A with f squarefree, 1 <= f < 2**66, A over K and det A = f.
 
     A is held as g*A = C: `g` is the least positive integer making g*A
@@ -103,9 +103,6 @@ class ExtendedMatrix:
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ExtendedMatrix is immutable")
 
     @classmethod
     def _raw(cls, m: int, f: int, g: int, coords: Coords) -> "ExtendedMatrix":

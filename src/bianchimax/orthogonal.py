@@ -27,6 +27,7 @@ from typing import Any, Sequence
 from .field import (
     FieldParams,
     KElement,
+    _Frozen,
     _require_exact,
     field_params,
     perfect_square_root,
@@ -110,7 +111,7 @@ def _bareiss_det4(rows: list[list[int]]) -> int:
     return sign * rows[3][3]
 
 
-class OrthoMap:
+class OrthoMap(_Frozen):
     """Exact rational 4x4 matrix P acting on fixed-basis coordinates.
 
     P is held as num/den: `den` >= 1 is the least common denominator of its
@@ -138,9 +139,6 @@ class OrthoMap:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "num", num)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("OrthoMap is immutable")
 
     @classmethod
     def _reduced(cls, m: int, den: int, num: _IntMat4) -> "OrthoMap":

@@ -23,6 +23,7 @@ def fraction_to_str(q: Fraction) -> str:
 
 
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_DIGIT_CAP = 4300  # digits in a numerator or denominator, CPython's default int parsing limit
 
 
 def fraction_from_str(text: str) -> Fraction:
@@ -31,10 +32,17 @@ def fraction_from_str(text: str) -> Fraction:
     The grammar check runs before Fraction sees the text, so exponents,
     decimals, a plus sign, spaces and underscores never reach it; the round
     trip through str then rejects leading zeros, "-0", "3/1" and fractions
-    not in lowest terms.
+    not in lowest terms.  A numerator or denominator of more than 4300
+    digits is rejected before it is parsed, whatever limit
+    sys.set_int_max_str_digits sets.
     """
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise ValueError(f"invalid rational string {_quote(text)}")
+    if any(len(part) > _DIGIT_CAP for part in text.lstrip("-").split("/")):
+        raise ValueError(
+            f"invalid rational string {_quote(text)}: "
+            f"numerator or denominator longer than the cap of {_DIGIT_CAP} digits"
+        )
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

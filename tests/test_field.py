@@ -205,6 +205,10 @@ class TestHashMatchesEquality:
 NOT_EXACT = [0.1, 1.0, "1/2", True, False, None, Decimal("0.5"), 1j]
 
 
+class FractionSubclass(Fraction):
+    pass
+
+
 class TestOnlyIntAndFraction:
     @pytest.mark.parametrize("bad", NOT_EXACT, ids=repr)
     @pytest.mark.parametrize(
@@ -241,6 +245,25 @@ class TestOnlyIntAndFraction:
             op(z, flag)
         with pytest.raises(TypeError):
             op(flag, z)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    @pytest.mark.parametrize(
+        "value", [3, Fraction(1, 2), FractionSubclass(1, 3)], ids=["int", "Fraction", "subclass"]
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m, v: KElement(m, v, v),
+            lambda m, v: field_params(m).from_theta_coords(v, v),
+            lambda m, v: KElement._raw(m, v, v),
+        ],
+        ids=["KElement", "from_theta_coords", "_raw"],
+    )
+    def test_coordinates_are_exactly_fraction(self, build, value, m):
+        # A Fraction subclass would bring its own arithmetic into every product.
+        z = build(m, value)
+        assert type(z.a) is type(z.b) is Fraction
+        assert z == build(m, Fraction(value))
 
     def test_bool_equality_and_hash_match_int(self):
         # As with Fraction(1) == True: comparison is not arithmetic.
@@ -473,6 +496,40 @@ class TestIdeals:
             for built in (ideal, other, product):
                 if not built.is_zero():
                     assert_canonical_ideal(params, built)
+
+    @settings(SEEDED, max_examples=300)
+    @given(
+        st.sampled_from(ORACLE_MS),
+        st.one_of(
+            st.sampled_from([0, 1, -1]),
+            st.integers(-(2**132), 2**132),
+            st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+        ),
+    )
+    def test_principal_matches_from_generators(self, m, value):
+        # A rational integer d gives (|d|, 0, |d|) without an HNF; any other
+        # generator takes the generic route, which is the oracle here.
+        params = field_params(m)
+        if isinstance(value, tuple):
+            z = params.from_theta_coords(*value)
+        else:
+            z = params.integer(value)
+            d = abs(value)
+            assert repr(IdealHNF.principal(params, z)) == f"IdealHNF(m={m}, basis=(({d}, 0), (0, {d})))"
+        assert IdealHNF.principal(params, z) == IdealHNF.from_generators(params, [z])
+
+    @pytest.mark.parametrize("value", [3, 0, Fraction(1, 2)], ids=["integer", "zero", "half"])
+    def test_principal_across_fields_raises(self, value):
+        with pytest.raises(ValueError, match=r"^mixed fields: m=1 vs m=2$"):
+            IdealHNF.principal(field_params(1), field_params(2).integer(value))
+        with pytest.raises(ValueError, match=r"^mixed fields: m=1 vs m=2$"):
+            IdealHNF.principal(field_params(1), field_params(2).element(value, 1))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_principal_of_a_non_integral_rational_raises(self, m):
+        params = field_params(m)
+        with pytest.raises(ValueError, match="integral"):
+            IdealHNF.principal(params, params.integer(Fraction(3, 2)))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 11])
     def test_principal_norm(self, m):

@@ -6,6 +6,7 @@ from bianchimax import involutions
 from bianchimax import (
     BezoutPair,
     ExtendedMatrix,
+    IdealHNF,
     KElement,
     atkin_lehner,
     bezout_pair,
@@ -158,6 +159,29 @@ class TestMembership:
         d, entries = mat.integral_representative()
         assert d == 8 and all(z.is_integral() for z in entries)
         assert not in_maximal_extension(mat)
+
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_criterion_builds_two_hnfs(self, m, monkeypatch):
+        # The content ideal and its square; (det B) is written down in closed form.
+        generic = IdealHNF.from_generators.__func__
+        calls = []
+
+        def counting(cls, params, gens):
+            calls.append(gens)
+            return generic(cls, params, gens)
+
+        monkeypatch.setattr(IdealHNF, "from_generators", classmethod(counting))
+        params = field_params(m)
+        d = squarefree_divisors(params.d_K)[-1]
+        for mat, member in [
+            (atkin_lehner(params, d), True),
+            (random_coset_element(Random(f"two-hnfs:{m}"), params, d), True),
+            (ExtendedMatrix.from_integral(3, ((k(m, 3), k(m, 1)), (k(m, 0), k(m, 1)))), False),
+        ]:
+            calls.clear()
+            assert in_maximal_extension(mat) is member
+            assert len(calls) == 2
 
 
 class TestClassification:

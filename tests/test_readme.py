@@ -1,4 +1,5 @@
-"""The README's library quick start and its CLI examples run as shown."""
+"""The README's library quick start and its CLI examples run as shown, and its
+promise that all values are immutable holds."""
 
 import os
 import shlex
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from bianchimax import IdealHNF, atkin_lehner, bezout_pair, field_params, spin_map
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -63,3 +66,32 @@ def test_cli_example_output(pipeline, shown):
         assert result.returncode == 0, result.stderr
         out = result.stdout
     assert out == shown + "\n"
+
+
+def library_values():
+    """One value of each of the library's value types, built afresh per call."""
+    params = field_params(5)
+    v10 = atkin_lehner(params, 10)
+    return {
+        "KElement": params.omega,
+        "FieldParams": params,
+        "IdealHNF": IdealHNF.principal(params, params.omega),
+        "ExtendedMatrix": v10,
+        "OrthoMap": spin_map(v10),
+        "BezoutPair": bezout_pair(params, 10),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(library_values()))
+def test_values_are_immutable(kind):
+    value = library_values()[kind]
+    assert type(value).__name__ == kind
+    before_repr, before_hash = repr(value), hash(value)
+    for name in (*type(value).__slots__, "extra"):
+        with pytest.raises(AttributeError, match=f"{kind} is immutable"):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError, match=f"{kind} is immutable"):
+            delattr(value, name)
+    assert repr(value) == before_repr
+    assert hash(value) == before_hash
+    assert value == library_values()[kind]

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -54,6 +55,37 @@ class TestRationalStrings:
         for bad in ("1/0", "a", "1.5.2", None, 3, True) + non_canonical:
             with pytest.raises(ValueError):
                 fraction_from_str(bad)
+
+
+@pytest.fixture(params=["default", "unlimited"])
+def int_digit_limit(request):
+    """The interpreter's int parsing limit at its default or switched off, restored after."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(
+        sys.int_info.default_max_str_digits if request.param == "default" else 0
+    )
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+class TestDigitCap:
+    @pytest.mark.parametrize(
+        "text",
+        ["7" * 4300, "-" + "7" * 4300, "1/" + "3" * 4300, "-1" + "0" * 4299 + "/" + "3" * 4300],
+        ids=["numerator", "negative", "denominator", "both"],
+    )
+    def test_4300_digits_accepted(self, int_digit_limit, text):
+        assert fraction_to_str(fraction_from_str(text)) == text
+
+    @pytest.mark.parametrize(
+        "text",
+        ["7" * 4301, "-" + "7" * 4301, "1/" + "3" * 4301, "7" * 4301 + "/" + "3" * 4300],
+        ids=["numerator", "negative", "denominator", "numerator-over-4300"],
+    )
+    def test_4301_digits_rejected_naming_the_cap(self, int_digit_limit, text):
+        with pytest.raises(ValueError, match=r"^invalid rational string '[-0-9/]+\.\.\. \(length \d+\): "
+                                             r"numerator or denominator longer than the cap of 4300 digits$"):
+            fraction_from_str(text)
 
 
 class TestKElementJson:
