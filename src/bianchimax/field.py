@@ -3,14 +3,17 @@
 Elements are stored with exact rational coordinates with respect to the
 integral basis {1, theta} of the ring of integers, one representation for
 every m: theta = (1 + sqrt(-m))/2 for m = 3 (mod 4) and sqrt(-m) otherwise.
-Integrality is then a denominator check, and products use
-theta**2 = t*theta - n with t and n the trace and norm of theta.  The
-coordinates with respect to {1, sqrt(-m)}, which the constructor, printing
-and serialization use, are derived.  Only int and Fraction are accepted as
-coordinates.  Ideals of the ring of integers are built only from generators,
-into a lower-triangular Hermite normal form that is canonical by
-construction, so equality is a componentwise comparison; the principal ideal
-of a rational integer is written down in that form directly.
+Integrality is then a denominator check.  FieldParams holds the trace t
+(0 or 1) and norm n of theta, which the basis formulas take; they work on
+int and Fraction coordinates alike and branch on t, so a Fraction never
+pays for a product with t.  Two of them convert to and from the
+{1, sqrt(-m)}-coordinates of the constructor, printing and serialization.
+Only int and Fraction are accepted as coordinates, and every constructor
+that takes m validates it through field_params.  Ideals of the ring of
+integers are built only from generators, into a lower-triangular Hermite
+normal form that is canonical by construction, so equality is a
+componentwise comparison; the principal ideal of a rational integer is
+written down in that form directly.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Any, Iterable
+from typing import Any, Iterable, TypeVar
 
 
 _TRIAL_DIVISION_LIMIT = 2**22
@@ -113,16 +116,40 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def theta_product(t: int, n: int, a1: int, b1: int, a2: int, b2: int) -> tuple[int, int]:
-    """(a1 + b1*theta)(a2 + b2*theta) in {1, theta}-coordinates.
-
-    theta satisfies theta**2 = t*theta - n with t its trace and n its norm.
-    """
-    bb = b1 * b2
-    return a1 * a2 - n * bb, a1 * b2 + b1 * a2 + t * bb
-
-
 _RationalLike = int | Fraction
+_Q = TypeVar("_Q", int, Fraction)  # the basis formulas keep the type of their coordinates
+
+
+def theta_product(t: int, n: int, a1: _Q, b1: _Q, a2: _Q, b2: _Q) -> tuple[_Q, _Q]:
+    """(a1 + b1*theta)(a2 + b2*theta), as theta**2 = t*theta - n."""
+    bb, b = b1 * b2, a1 * b2 + b1 * a2
+    return a1 * a2 - n * bb, b + bb if t else b
+
+
+def basis_conjugate(t: int, a: _Q, b: _Q) -> tuple[_Q, _Q]:
+    """conj(a + b*theta) = (a + t*b) - b*theta, as conj(theta) = t - theta."""
+    return a + b if t else a, -b
+
+
+def basis_norm(t: int, n: int, a: _Q, b: _Q) -> _Q:
+    """N(a + b*theta) = a*a + t*a*b + n*b*b."""
+    norm = a * a + n * b * b
+    return norm + a * b if t else norm
+
+
+def basis_trace(t: int, a: _Q, b: _Q) -> _Q:
+    """Tr(a + b*theta) = 2*a + t*b."""
+    return 2 * a + b if t else 2 * a
+
+
+def basis_from_sqrt(t: int, x: _Q, y: _Q) -> tuple[_Q, _Q]:
+    """(a, b) = (x - t*y, (1 + t)*y) for a + b*theta = x + y*sqrt(-m)."""
+    return (x - y, 2 * y) if t else (x, y)
+
+
+def basis_to_scaled_sqrt(t: int, a: _Q, b: _Q) -> tuple[_Q, _Q]:
+    """(1 + t)*(x, y) = ((1 + t)*a + t*b, b) for x + y*sqrt(-m) = a + b*theta."""
+    return (2 * a + b, b) if t else (a, b)
 
 
 class _Frozen:
@@ -140,31 +167,28 @@ class _Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-def _require_exact(value: object) -> None:
+def _require_exact(*values: object) -> None:
     """Reject anything but an int (not a bool) or a Fraction."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise TypeError(
-            f"field coordinates must be int or Fraction, got {value!r} ({type(value).__name__})"
-        )
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise TypeError(
+                f"field coordinates must be int or Fraction, got {value!r} ({type(value).__name__})"
+            )
 
 
 class KElement(_Frozen):
     """a + b*theta with exact rational a, b, where {1, theta} is the integral basis.
 
-    The constructor takes the coordinates x, y of x + y*sqrt(-m), which stay
-    available as the properties `x` and `y`.  For m = 3 (mod 4), where
-    theta = (1 + sqrt(-m))/2, that means a = x - y and b = 2y; otherwise
-    theta = sqrt(-m) and (a, b) = (x, y).
+    The constructor validates m through field_params and takes the
+    coordinates x, y of x + y*sqrt(-m), which stay available as the
+    properties `x` and `y`; basis_from_sqrt converts them.
     """
 
     __slots__ = ("m", "a", "b")
 
     def __init__(self, m: int, x: _RationalLike, y: _RationalLike) -> None:
-        _require_exact(x)
-        _require_exact(y)
-        if m % 4 == 3:
-            x, y = x - y, 2 * y
-        self._set(m, x, y)
+        _require_exact(x, y)
+        self._set(m, *basis_from_sqrt(field_params(m).theta_trace, x, y))
 
     def _set(self, m: int, a: _RationalLike, b: _RationalLike) -> None:
         # Products and sums already yield exact Fractions, which are kept as
@@ -183,16 +207,16 @@ class KElement(_Frozen):
     @property
     def x(self) -> Fraction:
         """The rational part: the coefficient of 1 in the basis {1, sqrt(-m)}."""
-        if self.m % 4 == 3:
-            return self.a + self.b / 2
-        return self.a
+        t = field_params(self.m).theta_trace
+        x = basis_to_scaled_sqrt(t, self.a, self.b)[0]
+        return x / 2 if t else x
 
     @property
     def y(self) -> Fraction:
         """The coefficient of sqrt(-m) in the basis {1, sqrt(-m)}."""
-        if self.m % 4 == 3:
-            return self.b / 2
-        return self.b
+        t = field_params(self.m).theta_trace
+        y = basis_to_scaled_sqrt(t, self.a, self.b)[1]
+        return y / 2 if t else y
 
     def __repr__(self) -> str:
         return f"KElement(m={self.m}, {self.x!s}, {self.y!s})"
@@ -246,12 +270,9 @@ class KElement(_Frozen):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # theta_product, with theta**2 = theta - (1 + m)/4 or theta**2 = -m.
-        m, a1, b1, a2, b2 = self.m, self.a, self.b, o.a, o.b
-        bb = b1 * b2
-        if m % 4 == 3:
-            return KElement._raw(m, a1 * a2 - (1 + m) // 4 * bb, a1 * b2 + b1 * a2 + bb)
-        return KElement._raw(m, a1 * a2 - m * bb, a1 * b2 + b1 * a2)
+        params = field_params(self.m)
+        a, b = theta_product(params.theta_trace, params.theta_norm, self.a, self.b, o.a, o.b)
+        return KElement._raw(self.m, a, b)
 
     __rmul__ = __mul__
 
@@ -262,22 +283,16 @@ class KElement(_Frozen):
         return self * o.inverse()
 
     def conjugate(self) -> "KElement":
-        """conj(theta) = t - theta, with t the trace of theta."""
-        if self.m % 4 == 3:
-            return KElement._raw(self.m, self.a + self.b, -self.b)
-        return KElement._raw(self.m, self.a, -self.b)
+        a, b = basis_conjugate(field_params(self.m).theta_trace, self.a, self.b)
+        return KElement._raw(self.m, a, b)
 
     def norm(self) -> Fraction:
-        """z * conj(z) = a*a + t*a*b + n*b*b, a nonnegative rational."""
-        m, a, b = self.m, self.a, self.b
-        if m % 4 == 3:
-            return a * a + a * b + (1 + m) // 4 * b * b
-        return a * a + m * b * b
+        """z * conj(z), a nonnegative rational."""
+        params = field_params(self.m)
+        return basis_norm(params.theta_trace, params.theta_norm, self.a, self.b)
 
     def trace(self) -> Fraction:
-        if self.m % 4 == 3:
-            return 2 * self.a + self.b
-        return 2 * self.a
+        return basis_trace(field_params(self.m).theta_trace, self.a, self.b)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -286,8 +301,8 @@ class KElement(_Frozen):
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero in K")
-        a = self.a + self.b if self.m % 4 == 3 else self.a
-        return KElement._raw(self.m, a / n, -self.b / n)
+        a, b = basis_conjugate(field_params(self.m).theta_trace, self.a, self.b)
+        return KElement._raw(self.m, a / n, b / n)
 
     def theta_coords(self) -> tuple[Fraction, Fraction]:
         """Coordinates (a, b) with self = a + b*theta for the integral basis."""
@@ -299,29 +314,24 @@ class KElement(_Frozen):
 
 
 class FieldParams(_Frozen):
-    """Invariants of K = Q(sqrt(-m)): discriminant and integral generators."""
+    """Invariants of K = Q(sqrt(-m)): discriminant, integral generators, and the
+    trace t and norm n of theta, which the basis formulas take."""
 
-    __slots__ = ("m", "d_K", "theta", "omega")
+    __slots__ = ("m", "d_K", "theta", "omega", "theta_trace", "theta_norm")
 
-    def __init__(self, m: int, d_K: int, theta: KElement, omega: KElement) -> None:
+    def __init__(self, m: int, t: int, n: int) -> None:
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "d_K", d_K)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "theta_trace", t)
+        object.__setattr__(self, "theta_norm", n)
+        object.__setattr__(self, "d_K", t * t - 4 * n)
+        object.__setattr__(self, "theta", KElement._raw(m, 0, 1))
+        object.__setattr__(self, "omega", KElement._raw(m, *basis_from_sqrt(t, m, 1)))
 
     def __repr__(self) -> str:
         return (
             f"FieldParams(m={self.m}, d_K={self.d_K}, "
             f"theta={self.theta!r}, omega={self.omega!r})"
         )
-
-    @property
-    def theta_trace(self) -> int:
-        return 1 if self.m % 4 == 3 else 0
-
-    @property
-    def theta_norm(self) -> int:
-        return (1 + self.m) // 4 if self.m % 4 == 3 else self.m
 
     @property
     def norm_omega(self) -> int:
@@ -334,8 +344,7 @@ class FieldParams(_Frozen):
         return KElement(self.m, n, 0)
 
     def from_theta_coords(self, a: _RationalLike, b: _RationalLike) -> KElement:
-        _require_exact(a)
-        _require_exact(b)
+        _require_exact(a, b)
         return KElement._raw(self.m, a, b)
 
 
@@ -354,7 +363,9 @@ def units_of(params: FieldParams) -> tuple[KElement, ...]:
 
 @lru_cache(maxsize=None)
 def field_params(m: int) -> FieldParams:
-    """Validated field data for K = Q(sqrt(-m)); m is squarefree and 1 <= m < 2**64."""
+    """Validated field data for K = Q(sqrt(-m)); m is a squarefree int, 1 <= m < 2**64."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise TypeError(f"m must be an int, got {_quote(m)} ({type(m).__name__})")
     if m <= 0:
         raise ValueError(f"m must be a positive integer, got {_quote(m)}")
     if m >= 2**64:
@@ -362,10 +373,8 @@ def field_params(m: int) -> FieldParams:
     p = repeated_prime(m)
     if p is not None:
         raise ValueError(f"m must be squarefree, but {p}**2 divides {_quote(m)}")
-    d_K = -m if m % 4 == 3 else -4 * m
-    theta = KElement._raw(m, 0, 1)
-    omega = KElement(m, m, 1)
-    return FieldParams(m=m, d_K=d_K, theta=theta, omega=omega)
+    t, n = (1, (1 + m) // 4) if m % 4 == 3 else (0, m)
+    return FieldParams(m, t, n)
 
 
 def _hnf_from_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, int]:

@@ -142,6 +142,7 @@ class ExtendedMatrix(_Frozen):
 
     @classmethod
     def identity(cls, m: int) -> "ExtendedMatrix":
+        field_params(m)  # validates m
         return cls._raw(m, 1, 1, (1, 0, 0, 0, 0, 0, 1, 0))
 
     @property

@@ -29,6 +29,11 @@ from .field import (
     KElement,
     _Frozen,
     _require_exact,
+    basis_conjugate,
+    basis_from_sqrt,
+    basis_norm,
+    basis_to_scaled_sqrt,
+    basis_trace,
     field_params,
     perfect_square_root,
     squarefree_part,
@@ -44,8 +49,7 @@ _IntMat4 = tuple[tuple[int, ...], ...]
 def _require_vec4(v: Vec4) -> None:
     if len(v) != 4:
         raise ValueError(f"Hermitian coordinate vectors have 4 entries, got {len(v)}")
-    for x in v:
-        _require_exact(x)
+    _require_exact(*v)
 
 
 class LiftError(ValueError):
@@ -124,12 +128,11 @@ class OrthoMap(_Frozen):
     __slots__ = ("m", "den", "num")
 
     def __init__(self, m: int, rows: Mat4) -> None:
+        field_params(m)  # validates m
         frozen = tuple(tuple(row) for row in rows)
         if len(frozen) != 4 or any(len(r) != 4 for r in frozen):
             raise ValueError("OrthoMap requires a 4x4 matrix")
-        for row in frozen:
-            for x in row:
-                _require_exact(x)
+        _require_exact(*(x for row in frozen for x in row))
         entries = tuple(tuple(Fraction(x) for x in row) for row in frozen)
         den = lcm(*(x.denominator for row in entries for x in row))
         num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in entries)
@@ -153,6 +156,7 @@ class OrthoMap(_Frozen):
 
     @classmethod
     def identity(cls, m: int) -> "OrthoMap":
+        field_params(m)  # validates m
         return cls._reduced(m, 1, tuple(tuple(int(i == j) for j in range(4)) for i in range(4)))
 
     @property
@@ -234,37 +238,24 @@ def spin_map(mat: ExtendedMatrix) -> OrthoMap:
     params = field_params(mat.m)
     t, n = params.theta_trace, params.theta_norm
     a0, a1, b0, b1, c0, c1, d0, d1 = mat.coords
-
-    def norm(x0: int, x1: int) -> int:
-        return x0 * x0 + t * x0 * x1 + n * x1 * x1
-
-    def trace(x: tuple[int, int]) -> int:
-        return 2 * x[0] + t * x[1]
-
-    def times_conj(x0: int, x1: int, y0: int, y1: int) -> tuple[int, int]:
-        # conj(y0 + y1*theta) = (y0 + t*y1) - y1*theta
-        return theta_product(t, n, x0, x1, y0 + t * y1, -y1)
-
-    a_cbar = times_conj(a0, a1, c0, c1)
-    b_dbar = times_conj(b0, b1, d0, d1)
-    a_bbar = times_conj(a0, a1, b0, b1)
-    c_dbar = times_conj(c0, c1, d0, d1)
-    b_cbar = times_conj(b0, b1, c0, c1)
-    a_dbar = times_conj(a0, a1, d0, d1)
+    bbar, cbar, dbar = (basis_conjugate(t, *y) for y in ((b0, b1), (c0, c1), (d0, d1)))
+    a_cbar = theta_product(t, n, a0, a1, *cbar)
+    b_dbar = theta_product(t, n, b0, b1, *dbar)
+    a_bbar = theta_product(t, n, a0, a1, *bbar)
+    c_dbar = theta_product(t, n, c0, c1, *dbar)
+    b_cbar = theta_product(t, n, b0, b1, *cbar)
+    a_dbar = theta_product(t, n, a0, a1, *dbar)
     theta_a_bbar = theta_product(t, n, 0, 1, *a_bbar)
     theta_c_dbar = theta_product(t, n, 0, 1, *c_dbar)
     theta_a_dbar = theta_product(t, n, 0, 1, *a_dbar)
-    thetabar_b_cbar = theta_product(t, n, t, -1, *b_cbar)
+    thetabar_b_cbar = theta_product(t, n, *basis_conjugate(t, 0, 1), *b_cbar)
+    h3 = b_cbar[0] + a_dbar[0], b_cbar[1] + a_dbar[1]
+    h4 = thetabar_b_cbar[0] + theta_a_dbar[0], thetabar_b_cbar[1] + theta_a_dbar[1]
     cols = (
-        (norm(a0, a1), norm(c0, c1)) + a_cbar,
-        (norm(b0, b1), norm(d0, d1)) + b_dbar,
-        (trace(a_bbar), trace(c_dbar), b_cbar[0] + a_dbar[0], b_cbar[1] + a_dbar[1]),
-        (
-            trace(theta_a_bbar),
-            trace(theta_c_dbar),
-            thetabar_b_cbar[0] + theta_a_dbar[0],
-            thetabar_b_cbar[1] + theta_a_dbar[1],
-        ),
+        (basis_norm(t, n, a0, a1), basis_norm(t, n, c0, c1)) + a_cbar,
+        (basis_norm(t, n, b0, b1), basis_norm(t, n, d0, d1)) + b_dbar,
+        (basis_trace(t, *a_bbar), basis_trace(t, *c_dbar)) + h3,
+        (basis_trace(t, *theta_a_bbar), basis_trace(t, *theta_c_dbar)) + h4,
     )
     return OrthoMap._reduced(mat.m, mat.f * mat.g * mat.g, tuple(zip(*cols)))
 
@@ -334,7 +325,9 @@ def _in_discriminant_kernel(phi_map: OrthoMap) -> bool:
     return True
 
 
-def _square_root_coords(m: int, z0: int, z1: int, den: int) -> tuple[int, int, int, int] | None:
+def _square_root_coords(
+    params: FieldParams, z0: int, z1: int, den: int
+) -> tuple[int, int, int, int] | None:
     """k_square_root on integers: z = (z0 + z1*theta)/den for den >= 1.
 
     Returns (f, x0, x1, xd) for the root x/sqrt(f) with x = (x0 + x1*theta)/xd,
@@ -348,9 +341,8 @@ def _square_root_coords(m: int, z0: int, z1: int, den: int) -> tuple[int, int, i
     """
     if z0 == 0 and z1 == 0:
         return 1, 0, 0, 1
-    t = 1 if m % 4 == 3 else 0
-    n = (1 + m) // 4 if t else m
-    p, r, d = (1 + t) * z0 + t * z1, z1, (1 + t) * den
+    m, t, n = params.m, params.theta_trace, params.theta_norm
+    (p, r), d = basis_to_scaled_sqrt(t, z0, z1), (1 + t) * den
     s = perfect_square_root(p * p + m * r * r)
     if s is None:
         return None
@@ -363,7 +355,7 @@ def _square_root_coords(m: int, z0: int, z1: int, den: int) -> tuple[int, int, i
     uv = (top // g) * (scale // g)
     f = squarefree_part(uv)
     xd = g * isqrt(uv // f)
-    x0, x1 = (re - im, 2 * im) if t else (re, im)
+    x0, x1 = basis_from_sqrt(t, re, im)
     sq0, sq1 = theta_product(t, n, x0, x1, x0, x1)
     if (sq0 * den, sq1 * den) != (f * z0 * xd * xd, f * z1 * xd * xd):
         return None
@@ -385,11 +377,9 @@ def k_square_root(z: KElement) -> tuple[int, KElement] | None:
     theta-coordinates of z over their least common denominator; K-elements
     are built only for z and the root.
     """
-    a, b = z.a, z.b
-    den = lcm(a.denominator, b.denominator)
-    root = _square_root_coords(
-        z.m, a.numerator * (den // a.denominator), b.numerator * (den // b.denominator), den
-    )
+    den = lcm(z.a.denominator, z.b.denominator)
+    z0, z1 = (q.numerator * (den // q.denominator) for q in (z.a, z.b))
+    root = _square_root_coords(field_params(z.m), z0, z1, den)
     if root is None:
         return None
     f, x0, x1, xd = root
@@ -399,17 +389,12 @@ def k_square_root(z: KElement) -> tuple[int, KElement] | None:
 def _first_entry_sign(mat: ExtendedMatrix) -> int:
     """The sign of the first nonzero rational coordinate pair (x, y), row-major.
 
-    An entry (a + b*theta)/g has x = (2a + t*b)/(2g) and y = b/(2g) when
-    t = 1, or x = a/g and y = b/g when t = 0.  Since g > 0, x has the sign
-    of 2a + t*b and y that of b, read off the integer coordinates.
+    An entry (a + b*theta)/g has (x, y) = basis_to_scaled_sqrt(t, a, b)/((1 + t)*g),
+    so, since g > 0, the signs are read off those integer coordinates.
     """
-    t = field_params(mat.m).theta_trace
-    c = mat.coords
-    for i in range(0, 8, 2):
-        for v in (2 * c[i] + t * c[i + 1], c[i + 1]):
-            if v:
-                return 1 if v > 0 else -1
-    return 1
+    t, c = field_params(mat.m).theta_trace, mat.coords
+    v = next((v for i in range(0, 8, 2) for v in basis_to_scaled_sqrt(t, c[i], c[i + 1]) if v), 1)
+    return 1 if v > 0 else -1
 
 
 def sign_normalize(mat: ExtendedMatrix) -> ExtendedMatrix:
@@ -436,11 +421,12 @@ def _anchor_products(phi_map: OrthoMap) -> tuple[int, tuple[tuple[int, int], ...
     """
     params = field_params(phi_map.m)
     t, n, d_K = params.theta_trace, params.theta_norm, params.d_K
+    thetabar = basis_conjugate(t, 0, 1)
     c1, c2, c3, c4 = zip(*phi_map.num)
 
     def solve(p: tuple[int, int], w: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
-        u0, u1 = theta_product(t, n, t, -1, *p)
-        x = theta_product(t, n, u0 - w[0], u1 - w[1], t, -2)
+        u0, u1 = theta_product(t, n, *thetabar, *p)
+        x = theta_product(t, n, u0 - w[0], u1 - w[1], thetabar[0], thetabar[1] - 1)
         return x, (p[0] * d_K - x[0], p[1] * d_K - x[1])
 
     a_bbar, abar_b = solve((c3[0], 0), (c4[0], 0))
@@ -484,7 +470,7 @@ def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
     ad0, ad1 = theta_product(t, n, *p_a, *p_d)
     bc0, bc1 = theta_product(t, n, *p_b, *p_c)
     try:
-        root = _square_root_coords(phi_map.m, ad0 - bc0, ad1 - bc1, q * q)
+        root = _square_root_coords(params, ad0 - bc0, ad1 - bc1, q * q)
     except ValueError as exc:
         raise LiftError("root", f"anchor entry squared: {exc}") from exc
     if root is None:
@@ -492,11 +478,11 @@ def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
     f, x0, x1, xd = root
     if x0 == 0 and x1 == 0:
         raise LiftError("root", "anchor entry vanished despite a nonzero norm")
-    den = q * (x0 * x0 + t * x0 * x1 + n * x1 * x1)
+    den = q * basis_norm(t, n, x0, x1)
     c = -gcd(f * xd, den)  # q = D*d_K is negative, so g = den/c is positive
     g, scale = den // c, f * xd // c
     coords = tuple(
-        y * scale for p0, p1 in pairs for y in theta_product(t, n, p0 + t * p1, -p1, x0, x1)
+        y * scale for p in pairs for y in theta_product(t, n, *basis_conjugate(t, *p), x0, x1)
     )
     try:
         _check_det(phi_map.m, g, coords, "A", "f", f)  # type: ignore[arg-type]

@@ -10,14 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchimax import (
+    ExtendedMatrix,
     IdealHNF,
     KElement,
+    OrthoMap,
     field_params,
     prime_factors,
     repeated_prime,
     squarefree_divisors,
     squarefree_part,
     units_of,
+)
+from bianchimax.field import (
+    basis_conjugate,
+    basis_from_sqrt,
+    basis_norm,
+    basis_to_scaled_sqrt,
+    basis_trace,
+    theta_product,
 )
 from bianchimax.sampling import random_integral_element
 
@@ -179,6 +189,41 @@ class TestAgainstSqrtCoordsOracle:
         assert (z * z).is_integral() and z.norm().denominator == 1
 
 
+int_pairs = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+# Two coordinate pairs of one type: both int or both Fraction.
+same_type_pairs = st.sampled_from([int_pairs, rational_pairs]).flatmap(lambda s: st.tuples(s, s))
+
+
+class TestBasisFormulas:
+    """field.py's {1, theta} formulas, which KElement and the integer paths
+    share, against the {1, sqrt(-m)} oracle on int and Fraction coordinates."""
+
+    @settings(SEEDED, max_examples=400)
+    @given(st.sampled_from(ORACLE_MS), same_type_pairs)
+    def test_against_sqrt_coords_oracle(self, m, pairs):
+        p, q = pairs
+        params = field_params(m)
+        t, n = params.theta_trace, params.theta_norm
+        op = SqrtCoordsOracle.from_theta_coords(m, *p)
+        oq = SqrtCoordsOracle.from_theta_coords(m, *q)
+        results = [
+            theta_product(t, n, *p, *q),
+            basis_conjugate(t, *p),
+            (basis_norm(t, n, *p), basis_trace(t, *p)),
+            basis_to_scaled_sqrt(t, *p),
+            basis_from_sqrt(t, *q),  # q read as {1, sqrt(-m)}-coordinates
+        ]
+        assert results == [
+            (op * oq).theta_coords(),
+            op.conjugate().theta_coords(),
+            (op.norm(), op.trace()),
+            ((1 + t) * op.x, (1 + t) * op.y),
+            SqrtCoordsOracle(m, *q).theta_coords(),
+        ]
+        # int coordinates stay int, for the integer paths; Fractions stay Fraction
+        assert all(type(v) is type(p[0]) for pair in results for v in pair)
+
+
 class TestHashMatchesEquality:
     @pytest.mark.parametrize("m", [1, 3])
     def test_rational_elements_collapse_with_their_values(self, m):
@@ -300,6 +345,20 @@ class TestFieldParams:
         with pytest.raises(ValueError, match=f"{prime}"):
             field_params(m)
 
+    @pytest.mark.parametrize("m", [1.0, True, Fraction(1), "1"], ids=repr)
+    def test_rejects_a_non_int_naming_m(self, m):
+        field_params(1)  # the cache must not answer 1.0 or True from this entry
+        with pytest.raises(TypeError, match=rf"^m must be an int, got {re.escape(repr(m))} "):
+            field_params(m)
+
+    @pytest.mark.parametrize("m", ORACLE_MS)
+    def test_holds_trace_and_norm_of_theta(self, m):
+        params = field_params(m)
+        t, n, theta = params.theta_trace, params.theta_norm, params.theta
+        assert theta * theta == t * theta - n
+        assert theta.conjugate() == t - theta
+        assert params.d_K == t * t - 4 * n
+
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7, 10, 11, 15])
     def test_one_object_per_m(self, m):
         assert field_params(m) is field_params(m)
@@ -323,6 +382,46 @@ class TestFieldParams:
         for d in squarefree_divisors(params.d_K):
             assert params.norm_omega % d == 0
             assert gcd(d, params.norm_omega // d) == 1
+
+
+IDENTITY4 = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+class TestConstructorsValidateM:
+    """Every public constructor that takes m rejects what field_params rejects,
+    with field_params' own message."""
+
+    @pytest.mark.parametrize("m", [0, -3, 4, 12, 2**64, True], ids=repr)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda m: KElement(m, 1, 0),
+            lambda m: OrthoMap(m, IDENTITY4),
+            lambda m: OrthoMap.identity(m),
+            lambda m: ExtendedMatrix.identity(m),
+        ],
+        ids=["KElement", "OrthoMap", "OrthoMap.identity", "ExtendedMatrix.identity"],
+    )
+    def test_rejected_with_field_params_message(self, build, m):
+        with pytest.raises((TypeError, ValueError)) as expected:
+            field_params(m)
+        with pytest.raises(expected.type) as info:
+            build(m)
+        assert str(info.value) == str(expected.value)
+
+    def test_half_i_over_a_non_field_is_rejected(self):
+        # m = 4 is no field: this would be i, and was reported as not integral
+        with pytest.raises(ValueError, match=r"^m must be squarefree, but 2\*\*2 divides 4$"):
+            KElement(4, 0, Fraction(1, 2))
+
+    def test_negative_m_is_rejected(self):
+        # KElement(-3, 1, 1).norm() was -2
+        with pytest.raises(ValueError, match="^m must be a positive integer, got -3$"):
+            KElement(-3, 1, 1)
+
+    def test_m_at_the_cap_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^m must be below 2\*\*64"):
+            KElement(2**64, 1, 0)
 
 
 class TestKArithmetic:
