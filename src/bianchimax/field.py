@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
-from typing import Any, Iterable, TypeVar
+from math import gcd, isqrt, lcm
+from operator import attrgetter
+from typing import Any, Iterable, Sequence, TypeVar
 
 
 _TRIAL_DIVISION_LIMIT = 2**22
@@ -44,8 +45,10 @@ def prime_factors(n: int) -> dict[int, int]:
     Trial division stops past 2**22, so this succeeds when every prime
     factor is below 2**22 except at most one below 2**44.  A cofactor that
     would need trial division past 2**22 raises ValueError at once instead
-    of running for hours.
+    of running for hours.  Every prime power divides 0, so 0 raises ValueError.
     """
+    if n == 0:
+        raise ValueError("cannot factor 0: every prime power divides it")
     n = abs(n)
     original = n
     factors: dict[int, int] = {}
@@ -153,18 +156,89 @@ def basis_to_scaled_sqrt(t: int, a: _Q, b: _Q) -> tuple[_Q, _Q]:
 
 
 class _Frozen:
-    """Base of the value types: no attribute can be set or deleted once built.
+    """Base of the value types: immutable values compared and hashed by their slots.
 
-    Constructors fill their slots through object.__setattr__.
+    _new builds a value from its slots in __slots__ order, unchecked, and
+    each public constructor is a __new__, as for Fraction, that validates
+    its input and then calls _new.  Two values are equal when they have the
+    same type and equal slots, and a value hashes like the tuple of its
+    slots.  No attribute can be set or deleted once built.  KElement alone
+    differs: it converts its coordinates to Fraction as it stores them, and
+    equals rationals.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._slot_values = attrgetter(*cls.__slots__)
+        # The slot descriptors' own setters, which __setattr__ does not block.
+        cls._slot_setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    @classmethod
+    def _new(cls: type[_F], *values: object) -> _F:
+        value = object.__new__(cls)
+        for set_slot, slot_value in zip(cls._slot_setters, values):
+            set_slot(value, slot_value)
+        return value
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        slot_values = self._slot_values
+        return slot_values(self) == slot_values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._slot_values(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+_F = TypeVar("_F", bound=_Frozen)
+
+
+def _least_denominator(values: Sequence[_RationalLike]) -> tuple[int, tuple[int, ...]]:
+    """(den, nums): den >= 1 the least common denominator of the rationals and
+    nums their numerators over it, so gcd(den, *nums) == 1."""
+    den = lcm(*(q.denominator for q in values))
+    return den, tuple(q.numerator * (den // q.denominator) for q in values)
+
+
+def _cancel(den: int, nums: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """The rationals nums/den for den >= 1, with gcd(den, *nums) cancelled."""
+    common = gcd(den, *nums)
+    if common > 1:
+        return den // common, tuple(x // common for x in nums)
+    return den, nums
+
+
+def _same_field(m: int, other: int) -> None:
+    """Raise ValueError unless two values belong to the same field."""
+    if other != m:
+        raise ValueError(f"mixed fields: m={m} vs m={other}")
+
+
+def _check_int(name: str, value: object, bits: int) -> None:
+    """Raise TypeError unless value is an int and not a bool, and ValueError
+    unless 1 <= value < 2**bits; the bound comes before any factoring."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {_quote(value)} ({type(value).__name__})")
+    if value <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {_quote(value)}")
+    if value >> bits:  # value >= 2**bits
+        raise ValueError(f"{name} must be below 2**{bits}, got {_quote(value)}")
+
+
+def _check_squarefree(name: str, value: object, bits: int) -> None:
+    """_check_int, then raise ValueError unless value is squarefree."""
+    _check_int(name, value, bits)
+    p = repeated_prime(value)
+    if p is not None:
+        raise ValueError(f"{name} must be squarefree, but {p}**2 divides {_quote(value)}")
 
 
 def _require_exact(*values: object) -> None:
@@ -226,8 +300,7 @@ class KElement(_Frozen):
 
     def _coerce(self, other: object) -> "KElement | None":
         if isinstance(other, KElement):
-            if other.m != self.m:
-                raise ValueError(f"mixed fields: m={self.m} vs m={other.m}")
+            _same_field(self.m, other.m)
             return other
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return KElement._raw(self.m, other, 0)
@@ -319,13 +392,9 @@ class FieldParams(_Frozen):
 
     __slots__ = ("m", "d_K", "theta", "omega", "theta_trace", "theta_norm")
 
-    def __init__(self, m: int, t: int, n: int) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "theta_trace", t)
-        object.__setattr__(self, "theta_norm", n)
-        object.__setattr__(self, "d_K", t * t - 4 * n)
-        object.__setattr__(self, "theta", KElement._raw(m, 0, 1))
-        object.__setattr__(self, "omega", KElement._raw(m, *basis_from_sqrt(t, m, 1)))
+    def __new__(cls, m: int, t: int, n: int) -> FieldParams:
+        theta, omega = KElement._raw(m, 0, 1), KElement._raw(m, *basis_from_sqrt(t, m, 1))
+        return cls._new(m, t * t - 4 * n, theta, omega, t, n)
 
     def __repr__(self) -> str:
         return (
@@ -364,15 +433,7 @@ def units_of(params: FieldParams) -> tuple[KElement, ...]:
 @lru_cache(maxsize=None)
 def field_params(m: int) -> FieldParams:
     """Validated field data for K = Q(sqrt(-m)); m is a squarefree int, 1 <= m < 2**64."""
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise TypeError(f"m must be an int, got {_quote(m)} ({type(m).__name__})")
-    if m <= 0:
-        raise ValueError(f"m must be a positive integer, got {_quote(m)}")
-    if m >= 2**64:
-        raise ValueError(f"m must be below 2**64, got {_quote(m)}")
-    p = repeated_prime(m)
-    if p is not None:
-        raise ValueError(f"m must be squarefree, but {p}**2 divides {_quote(m)}")
+    _check_squarefree("m", m, 64)
     t, n = (1, (1 + m) // 4) if m % 4 == 3 else (0, m)
     return FieldParams(m, t, n)
 
@@ -417,25 +478,17 @@ class IdealHNF(_Frozen):
 
     __slots__ = ("m", "_h")
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def __new__(cls, *args: object, **kwargs: object) -> IdealHNF:
         raise TypeError(
             "IdealHNF has no public constructor; use IdealHNF.from_generators or IdealHNF.principal"
         )
-
-    @classmethod
-    def _raw(cls, m: int, h: tuple[int, int, int]) -> "IdealHNF":
-        ideal = object.__new__(cls)
-        object.__setattr__(ideal, "m", m)
-        object.__setattr__(ideal, "_h", h)
-        return ideal
 
     @classmethod
     def from_generators(cls, params: FieldParams, gens: Iterable[KElement]) -> "IdealHNF":
         """Canonical HNF of the O_K-module generated by the given integers."""
         pairs: list[tuple[int, int]] = []
         for z in gens:
-            if z.m != params.m:
-                raise ValueError(f"mixed fields: m={params.m} vs m={z.m}")
+            _same_field(params.m, z.m)
             if not z.is_integral():
                 raise ValueError(f"ideal generator {z} is not integral")
             for w in (z, params.theta * z):
@@ -444,17 +497,16 @@ class IdealHNF(_Frozen):
         h = _hnf_from_pairs(pairs)
         if h != (0, 0, 0) and (h[0] == 0 or h[2] == 0):
             raise AssertionError("theta-closed nonzero module must have full rank")
-        return cls._raw(params.m, h)
+        return cls._new(params.m, h)
 
     @classmethod
     def principal(cls, params: FieldParams, z: KElement) -> "IdealHNF":
         """The ideal z*O_K.  For a rational integer d it is written down:
         d*O_K has the Z-basis d, d*theta, so its HNF is (|d|, 0, |d|)."""
-        if z.m != params.m:
-            raise ValueError(f"mixed fields: m={params.m} vs m={z.m}")
+        _same_field(params.m, z.m)
         if z.b == 0 and z.a.denominator == 1:
             d = abs(z.a.numerator)
-            return cls._raw(params.m, (d, 0, d))
+            return cls._new(params.m, (d, 0, d))
         return cls.from_generators(params, [z])
 
     def is_zero(self) -> bool:
@@ -472,22 +524,13 @@ class IdealHNF(_Frozen):
     def __mul__(self, other: object) -> "IdealHNF":
         if not isinstance(other, IdealHNF):
             return NotImplemented
-        if other.m != self.m:
-            raise ValueError(f"mixed fields: m={self.m} vs m={other.m}")
+        _same_field(self.m, other.m)
         if self.is_zero() or other.is_zero():
-            return IdealHNF._raw(self.m, (0, 0, 0))
+            return IdealHNF._new(self.m, (0, 0, 0))
         params = field_params(self.m)
         g1, g2 = self.generators()
         h1, h2 = other.generators()
         return IdealHNF.from_generators(params, [g1 * h1, g1 * h2, g2 * h1, g2 * h2])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IdealHNF):
-            return NotImplemented
-        return self.m == other.m and self._h == other._h
-
-    def __hash__(self) -> int:
-        return hash((self.m, self._h))
 
     def __repr__(self) -> str:
         a, b, c = self._h

@@ -38,17 +38,8 @@ class BezoutPair(_Frozen):
 
     __slots__ = ("u", "v")
 
-    def __init__(self, u: int, v: int) -> None:
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BezoutPair):
-            return NotImplemented
-        return (self.u, self.v) == (other.u, other.v)
-
-    def __hash__(self) -> int:
-        return hash((self.u, self.v))
+    def __new__(cls, u: int, v: int) -> BezoutPair:
+        return cls._new(u, v)
 
     def __repr__(self) -> str:
         return f"BezoutPair(u={self.u}, v={self.v})"

@@ -16,10 +16,22 @@ are derived views.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Sequence
 
-from .field import KElement, _Frozen, _quote, field_params, repeated_prime, squarefree_part, theta_product
+from .field import (
+    KElement,
+    _cancel,
+    _check_int,
+    _check_squarefree,
+    _Frozen,
+    _least_denominator,
+    _quote,
+    _same_field,
+    field_params,
+    squarefree_part,
+    theta_product,
+)
 
 Rows = tuple[tuple[KElement, KElement], tuple[KElement, KElement]]
 Coords = tuple[int, int, int, int, int, int, int, int]
@@ -29,14 +41,11 @@ def _scaled_coords(rows: Sequence[Sequence[KElement]]) -> tuple[int, int, Coords
     """(m, g, C) for a 2x2 matrix A over one field: g is the least positive
     integer making g*A integral and C the theta-coordinates of g*A."""
     (a, b), (c, d) = rows
-    m = a.m
     coords: list[Fraction] = []
     for entry in (a, b, c, d):
-        if entry.m != m:
-            raise ValueError(f"mixed fields: m={m} vs m={entry.m}")
+        _same_field(a.m, entry.m)
         coords += entry.theta_coords()
-    g = lcm(*(q.denominator for q in coords))
-    return m, g, tuple(q.numerator * (g // q.denominator) for q in coords)  # type: ignore[return-value]
+    return a.m, *_least_denominator(coords)  # type: ignore[return-value]
 
 
 def _det_coords(t: int, n: int, c: Coords) -> tuple[int, int]:
@@ -67,17 +76,10 @@ def _check_det(m: int, g: int, coords: Coords, matrix: str, name: str, value: in
         raise ValueError(f"det {matrix} = {_quote(got)} does not match {name} = {_quote(value)}")
 
 
-def _check_f_bound(f: int) -> None:
-    """Raise ValueError unless 0 < f < 2**66.
-
-    Every member of a maximal extension has f dividing |d_K| <= 4m, and m is
-    below 2**64, so the bound follows from the cap on m.  It stops a huge f
-    before anything factors it.
-    """
-    if f <= 0:
-        raise ValueError(f"denominator part must be positive, got {_quote(f)}")
-    if f >= 2**66:
-        raise ValueError(f"denominator part must be below 2**66, got {_quote(f)}")
+# Every member of a maximal extension has f dividing |d_K| <= 4m, and m is
+# below 2**64, so the cap on f follows from the cap on m; d = g*g*f of an
+# integral representative is then below (2**66)**2.
+_F_BITS, _D_BITS = 66, 132
 
 
 class ExtendedMatrix(_Frozen):
@@ -89,49 +91,31 @@ class ExtendedMatrix(_Frozen):
 
     __slots__ = ("m", "f", "g", "coords")
 
-    def __init__(self, f: int, rows: Sequence[Sequence[KElement]]) -> None:
+    def __new__(cls, f: int, rows: Sequence[Sequence[KElement]]) -> ExtendedMatrix:
         m, g, coords = _scaled_coords(rows)
-        _check_f_bound(f)  # before f is factored
-        p = repeated_prime(f)
-        if p is not None:
-            raise ValueError(f"denominator part must be squarefree, {p}**2 divides {_quote(f)}")
+        _check_squarefree("denominator part", f, _F_BITS)
         _check_det(m, g, coords, "A", "f", f)
-        self._set(m, f, g, coords)
-
-    def _set(self, m: int, f: int, g: int, coords: Coords) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "coords", coords)
+        return cls._new(m, f, g, coords)
 
     @classmethod
     def _raw(cls, m: int, f: int, g: int, coords: Coords) -> "ExtendedMatrix":
-        _check_f_bound(f)
-        mat = object.__new__(cls)
-        mat._set(m, f, g, coords)
-        return mat
+        _check_int("denominator part", f, _F_BITS)
+        return cls._new(m, f, g, coords)
 
     @classmethod
     def _reduced(cls, m: int, f: int, g: int, coords: Coords) -> "ExtendedMatrix":
         """The element with g*A = C, after cancelling common factors of g and C."""
-        common = gcd(g, *coords)
-        if common > 1:
-            g //= common
-            coords = tuple(x // common for x in coords)  # type: ignore[assignment]
-        return cls._raw(m, f, g, coords)
+        return cls._raw(m, f, *_cancel(g, coords))
 
     @classmethod
     def from_integral(cls, d: int, rows: Sequence[Sequence[KElement]]) -> "ExtendedMatrix":
         """Canonicalize (1/sqrt(d))*M for an integral matrix M with det M = d.
 
         Like every other route, this raises ValueError if the squarefree part
-        f of d is not below 2**66.  d itself must be below 2**132 =
+        f of d is not below 2**66.  d itself must be an int below 2**132 =
         (2**66)**2, which is checked before d is factored.
         """
-        if d <= 0:
-            raise ValueError(f"d must be a positive integer, got {_quote(d)}")
-        if d >= 2**132:
-            raise ValueError(f"d must be below 2**132, got {_quote(d)}")
+        _check_int("d", d, _D_BITS)
         m, scale, coords = _scaled_coords(rows)
         if scale != 1:
             entry = next(z for row in rows for z in row if not z.is_integral())
@@ -159,14 +143,6 @@ class ExtendedMatrix(_Frozen):
             for i in range(0, 8, 2)
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExtendedMatrix):
-            return NotImplemented
-        return (self.m, self.f, self.g, self.coords) == (other.m, other.f, other.g, other.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.f, self.g, self.coords))
-
     def __repr__(self) -> str:
         a, b, c, d = self.entries
         return f"ExtendedMatrix(m={self.m}, f={self.f}, [[{a}, {b}], [{c}, {d}]])"
@@ -174,8 +150,7 @@ class ExtendedMatrix(_Frozen):
     def __mul__(self, other: object) -> "ExtendedMatrix":
         if not isinstance(other, ExtendedMatrix):
             return NotImplemented
-        if other.m != self.m:
-            raise ValueError(f"mixed fields: m={self.m} vs m={other.m}")
+        _same_field(self.m, other.m)
         params = field_params(self.m)
         prod = _product_coords(params.theta_trace, params.theta_norm, self.coords, other.coords)
         # (1/sqrt(f1))A1 * (1/sqrt(f2))A2 = (1/sqrt(f))(A1*A2/common) with
@@ -209,13 +184,9 @@ def is_algebraic_integer(z: KElement, f: int) -> bool:
     """Whether w = z / sqrt(f) is an algebraic integer, for f positive squarefree.
 
     w is a root of the monic X**2 - w**2 with w**2 = z*z/f in K, so w is
-    integral exactly when w**2 lies in the ring of integers.  f must also be
-    below 2**66, the cap on every ExtendedMatrix's f, which is checked before
-    f is factored.
+    integral exactly when w**2 lies in the ring of integers.  f is checked as
+    the constructor checks it: an int below 2**66, the cap on every
+    ExtendedMatrix's f, before f is factored.
     """
-    if f <= 0:
-        raise ValueError(f"f must be a positive squarefree integer, got {_quote(f)}")
-    _check_f_bound(f)
-    if repeated_prime(f) is not None:
-        raise ValueError(f"f must be a positive squarefree integer, got {_quote(f)}")
+    _check_squarefree("denominator part", f, _F_BITS)
     return (z * z / f).is_integral()

@@ -21,14 +21,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Any, Sequence
 
 from .field import (
     FieldParams,
     KElement,
+    _cancel,
     _Frozen,
+    _least_denominator,
     _require_exact,
+    _same_field,
     basis_conjugate,
     basis_from_sqrt,
     basis_norm,
@@ -93,11 +96,17 @@ def _transpose(a: Sequence[Sequence[Any]]) -> Any:
     return tuple(tuple(a[j][i] for j in range(4)) for i in range(4))
 
 
-def _bareiss_det4(rows: list[list[int]]) -> int:
+def _rows4(flat: tuple[int, ...]) -> _IntMat4:
+    """The 4x4 matrix with the given 16 entries, row-major."""
+    return tuple(flat[i : i + 4] for i in range(0, 16, 4))
+
+
+def _bareiss_det4(matrix: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer 4x4 matrix by fraction-free (Bareiss) elimination.
 
-    Every step is an exact integer division.  The rows are overwritten.
+    Every step is an exact integer division, on a copy of the rows.
     """
+    rows = [list(row) for row in matrix]
     sign, prev = 1, 1
     for k in range(3):
         if rows[k][k] == 0:
@@ -127,32 +136,21 @@ class OrthoMap(_Frozen):
 
     __slots__ = ("m", "den", "num")
 
-    def __init__(self, m: int, rows: Mat4) -> None:
+    def __new__(cls, m: int, rows: Mat4) -> OrthoMap:
         field_params(m)  # validates m
         frozen = tuple(tuple(row) for row in rows)
         if len(frozen) != 4 or any(len(r) != 4 for r in frozen):
             raise ValueError("OrthoMap requires a 4x4 matrix")
-        _require_exact(*(x for row in frozen for x in row))
-        entries = tuple(tuple(Fraction(x) for x in row) for row in frozen)
-        den = lcm(*(x.denominator for row in entries for x in row))
-        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in entries)
-        self._set(m, den, num)
-
-    def _set(self, m: int, den: int, num: _IntMat4) -> None:
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "num", num)
+        entries = tuple(x for row in frozen for x in row)
+        _require_exact(*entries)
+        den, num = _least_denominator(entries)
+        return cls._new(m, den, _rows4(num))
 
     @classmethod
     def _reduced(cls, m: int, den: int, num: _IntMat4) -> "OrthoMap":
         """The map num/den for den >= 1, after cancelling common factors of den and num."""
-        common = gcd(den, *(x for row in num for x in row))
-        if common > 1:
-            den //= common
-            num = tuple(tuple(x // common for x in row) for row in num)
-        phi = object.__new__(cls)
-        phi._set(m, den, num)
-        return phi
+        den, flat = _cancel(den, tuple(x for row in num for x in row))
+        return cls._new(m, den, _rows4(flat))
 
     @classmethod
     def identity(cls, m: int) -> "OrthoMap":
@@ -164,22 +162,13 @@ class OrthoMap(_Frozen):
         rows = tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
         return rows  # type: ignore[return-value]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, OrthoMap):
-            return NotImplemented
-        return (self.m, self.den, self.num) == (other.m, other.den, other.num)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.den, self.num))
-
     def __repr__(self) -> str:
         return f"OrthoMap(m={self.m}, rows={self.rows})"
 
     def __mul__(self, other: object) -> "OrthoMap":
         if not isinstance(other, OrthoMap):
             return NotImplemented
-        if other.m != self.m:
-            raise ValueError(f"mixed fields: m={self.m} vs m={other.m}")
+        _same_field(self.m, other.m)
         return OrthoMap._reduced(self.m, self.den * other.den, _mat_mul(self.num, other.num))
 
     def inverse(self) -> "OrthoMap":
@@ -202,7 +191,7 @@ class OrthoMap(_Frozen):
 
     def determinant(self) -> Fraction:
         """det P = det(num) / den**4."""
-        return Fraction(_bareiss_det4([list(row) for row in self.num]), self.den**4)
+        return Fraction(_bareiss_det4(self.num), self.den**4)
 
     def is_orthogonal(self) -> bool:
         g, rows = gram_matrix(self.m), self.rows
@@ -266,7 +255,7 @@ def preserves_lattice(phi_map: OrthoMap) -> bool:
     An integral matrix has an integral inverse exactly when its determinant
     is a unit, so this is: integral with determinant +-1.
     """
-    return phi_map.den == 1 and abs(_bareiss_det4([list(row) for row in phi_map.num])) == 1
+    return phi_map.den == 1 and abs(_bareiss_det4(phi_map.num)) == 1
 
 
 def dual_basis(params: FieldParams) -> Mat4:
@@ -292,7 +281,7 @@ def in_dual_lattice(params: FieldParams, v: Vec4) -> bool:
 
 def dual_lattice_index(params: FieldParams) -> int:
     """Index of the integral Hermitian lattice in its dual: |det 2G| = |d_K|."""
-    return abs(_bareiss_det4([list(row) for row in _twice_gram(params.m)[0]]))
+    return abs(_bareiss_det4(_twice_gram(params.m)[0]))
 
 
 def in_discriminant_kernel(phi_map: OrthoMap) -> bool:
@@ -377,8 +366,7 @@ def k_square_root(z: KElement) -> tuple[int, KElement] | None:
     theta-coordinates of z over their least common denominator; K-elements
     are built only for z and the root.
     """
-    den = lcm(z.a.denominator, z.b.denominator)
-    z0, z1 = (q.numerator * (den // q.denominator) for q in (z.a, z.b))
+    den, (z0, z1) = _least_denominator((z.a, z.b))
     root = _square_root_coords(field_params(z.m), z0, z1, den)
     if root is None:
         return None
@@ -504,7 +492,7 @@ def spin_lift(phi_map: OrthoMap) -> ExtendedMatrix:
     """
     if not phi_map.is_orthogonal():
         raise LiftError("orthogonality", "matrix does not preserve the quadratic form")
-    if _bareiss_det4([list(row) for row in phi_map.num]) != phi_map.den**4:
+    if _bareiss_det4(phi_map.num) != phi_map.den**4:
         raise LiftError("determinant", "matrix has determinant != 1")
     if not phi_map.maps_positive_cone():
         raise LiftError("component", "matrix does not map the positive cone to itself")

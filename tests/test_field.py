@@ -1,8 +1,12 @@
 import operator
+import os
 import re
+import subprocess
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -30,6 +34,8 @@ from bianchimax.field import (
     theta_product,
 )
 from bianchimax.sampling import random_integral_element
+
+ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
 
 def covolume(pairs):
@@ -678,6 +684,23 @@ class TestSquarefreeDivisors:
         assert message.startswith("cannot factor 3518437208889100")
         assert "... (length 614): cofactor 35184372088891 has no" in message
         assert len(message) < 200
+
+    @pytest.mark.parametrize("function", ["prime_factors", "repeated_prime"])
+    def test_zero_raises_instead_of_looping(self, function):
+        # 0 is divisible by 2 forever, so this looped; a subprocess keeps a
+        # hang from stalling the suite
+        code = (
+            f"from bianchimax import {function}\n"
+            "try:\n"
+            f"    {function}(0)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=ENV, timeout=10
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "cannot factor 0: every prime power divides it\n"
 
     def test_squarefree_part(self):
         assert squarefree_part(1) == 1

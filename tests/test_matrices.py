@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from random import Random
 
@@ -134,6 +135,22 @@ class TestCanonicalForm:
         # 2**131 = (2**65)**2 * 2: f = 2 and g = 2**65
         mat = ExtendedMatrix.from_integral(2**131, diagonal(2**131))
         assert (mat.f, mat.g) == (2, 2**65)
+
+    @pytest.mark.parametrize(
+        "f,shown", [(True, "True (bool)"), (2.0, "2.0 (float)"), (Fraction(1), "Fraction(1, 1) (Fraction)")]
+    )
+    def test_f_that_is_not_an_int_raises_type_error(self, f, shown):
+        # each of these equals an int, so det A = f held and the matrix was built
+        # with a non-canonical f that matrix_to_json could not write back
+        with pytest.raises(TypeError, match=rf"^denominator part must be an int, got {re.escape(shown)}$"):
+            ExtendedMatrix(f, diagonal(int(f)))
+
+    @pytest.mark.parametrize(
+        "d,shown", [(True, "True (bool)"), (2.0, "2.0 (float)"), (Fraction(2), "Fraction(2, 1) (Fraction)")]
+    )
+    def test_d_that_is_not_an_int_raises_type_error(self, d, shown):
+        with pytest.raises(TypeError, match=rf"^d must be an int, got {re.escape(shown)}$"):
+            ExtendedMatrix.from_integral(d, diagonal(int(d)))
 
     def test_non_squarefree_f_raises(self):
         rows = ((k(1, 4), k(1, 0)), (k(1, 0), k(1, 1)))
@@ -280,16 +297,25 @@ class TestMinimalPolynomials:
         def no_factoring(n):
             raise AssertionError("f was factored")
 
-        monkeypatch.setattr("bianchimax.matrices.repeated_prime", no_factoring)
+        monkeypatch.setattr("bianchimax.field.repeated_prime", no_factoring)
         with pytest.raises(ValueError, match=r"^denominator part must be below 2\*\*66, got \d") as info:
             is_algebraic_integer(k(1, 1), f)
         assert len(str(info.value)) < 200
 
     def test_non_positive_or_non_squarefree_f_raises(self):
-        for f in (0, -HUGE, 12):
-            with pytest.raises(ValueError, match="^f must be a positive squarefree integer") as info:
+        for f, error in (
+            (0, r"^denominator part must be a positive integer, got 0$"),
+            (-HUGE, r"^denominator part must be a positive integer, got -1000"),
+            (12, r"^denominator part must be squarefree, but 2\*\*2 divides 12$"),
+        ):
+            with pytest.raises(ValueError, match=error) as info:
                 is_algebraic_integer(k(1, 1), f)
             assert len(str(info.value)) < 200
+
+    def test_bool_f_raises_type_error(self):
+        # True == 1 passed every check of an int f before
+        with pytest.raises(TypeError, match=r"^denominator part must be an int, got True \(bool\)$"):
+            is_algebraic_integer(k(1, 1), True)
 
     def test_invalid_f_raises(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from bianchimax import IdealHNF, atkin_lehner, bezout_pair, field_params, spin_map
+from bianchimax import (
+    FieldParams,
+    IdealHNF,
+    KElement,
+    atkin_lehner,
+    bezout_pair,
+    field_params,
+    spin_map,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -95,3 +103,41 @@ def test_values_are_immutable(kind):
     assert repr(value) == before_repr
     assert hash(value) == before_hash
     assert value == library_values()[kind]
+
+
+def slot_values(value):
+    return tuple(getattr(value, name) for name in type(value).__slots__)
+
+
+# field_params caches its FieldParams, omega among its slots, so these two are
+# rebuilt through their constructors; the others are new on every call.
+REBUILT = {"KElement": lambda: KElement(5, 5, 1), "FieldParams": lambda: FieldParams(5, 0, 5)}
+
+
+@pytest.mark.parametrize("kind", sorted(library_values()))
+def test_equal_values_hash_alike(kind):
+    value = library_values()[kind]
+    rebuilt = REBUILT.get(kind, lambda: library_values()[kind])()
+    assert value is not rebuilt
+    assert value == rebuilt and not value != rebuilt
+    assert hash(value) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("kind", sorted(library_values()))
+def test_no_value_equals_another_type_or_its_own_slots(kind):
+    values = library_values()
+    value = values.pop(kind)
+    for other in (*values.values(), slot_values(value)):
+        assert not value == other and value != other
+        assert not other == value and other != value
+
+
+@pytest.mark.parametrize("kind", sorted(library_values()))
+def test_every_slot_takes_part_in_equality_and_hash(kind):
+    # _new fills the slots unchecked, so each slot in turn can be set apart
+    value = library_values()[kind]
+    slots = slot_values(value)
+    for i in range(len(slots)):
+        changed = type(value)._new(*slots[:i], None, *slots[i + 1:])
+        assert changed != value and not changed == value
+        assert hash(changed) != hash(value)

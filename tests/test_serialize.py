@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bianchimax import (
+    ExtendedMatrix,
     KElement,
     OrthoMap,
     atkin_lehner,
@@ -219,6 +220,30 @@ def through_json(obj):
     return json.loads(json.dumps(obj))
 
 
+# What a caller might pass as f or d: small ints, some of them not positive or
+# not squarefree, and bools, floats and Fractions equal to an int.
+PARAMETERS = st.integers(-2, 40) | st.sampled_from([True, False, 1.0, 2.0, Fraction(1), Fraction(2)])
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def constructed_matrix(m, route, parameter, x, y, shear):
+    """A matrix from a public constructor, or None where the constructor refuses
+    its input.  With n = int(parameter), the int that parameter equals, and
+    S = [[1, shear], [0, 1]], the routes build ExtendedMatrix(parameter,
+    diag(z, n/z) * S) for z = x + y*sqrt(-m), from_integral(parameter,
+    diag(n, 1) * S) and identity(m)."""
+    n, zero, one, s = int(parameter), KElement(m, 0, 0), KElement(m, 1, 0), KElement(m, *shear)
+    try:
+        if route == "init":
+            z = KElement(m, x, y) if x or y else one
+            return ExtendedMatrix(parameter, ((z, z * s), (zero, n * one / z)))
+        if route == "from_integral":
+            return ExtendedMatrix.from_integral(parameter, ((n * one, n * s), (zero, one)))
+        return ExtendedMatrix.identity(m)
+    except (TypeError, ValueError):
+        return None
+
+
 def non_canonical_spellings(q):
     """Strings that Fraction or a looser parser could read as q, none canonical."""
     text, p, d = str(q), q.numerator, q.denominator
@@ -287,6 +312,23 @@ class TestParserProperties:
     @given(MATRICES)
     def test_matrix_round_trip(self, mat):
         assert matrix_from_json(through_json(matrix_to_json(mat))) == mat
+
+    @settings(EXAMPLES, max_examples=300)
+    @given(
+        st.sampled_from(NINE_FIELDS),
+        st.sampled_from(["init", "from_integral", "identity"]),
+        PARAMETERS,
+        SMALL_RATIONALS,
+        SMALL_RATIONALS,
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    )
+    def test_every_constructed_matrix_round_trips(self, m, route, parameter, x, y, shear):
+        # f = True, 1.0 or Fraction(1) once built a matrix that matrix_to_json
+        # wrote as "f": true, as 1.0 or not at all
+        mat = constructed_matrix(m, route, parameter, x, y, shear)
+        if mat is not None:
+            assert type(mat.f) is int
+            assert matrix_from_json(through_json(matrix_to_json(mat))) == mat
 
     @EXAMPLES
     @given(ORTHOMAPS, MATRICES, st.data())
