@@ -39,18 +39,17 @@ def _quote(value: Any) -> str:
     return f"{text[:_QUOTE_LIMIT]}... (length {size})"
 
 
-def prime_factors(n: int) -> dict[int, int]:
-    """Factor |n| by trial division, returning {prime: exponent}.
+def _trial_division(n: int) -> tuple[dict[int, int], int]:
+    """({prime: exponent}, c) with |n| = c * prod(p**e), for n != 0.
 
-    Trial division stops past 2**22, so this succeeds when every prime
-    factor is below 2**22 except at most one below 2**44.  A cofactor that
-    would need trial division past 2**22 raises ValueError at once instead
-    of running for hours.  Every prime power divides 0, so 0 raises ValueError.
+    Trial division stops past 2**22.  The cofactor c is 1 when every prime
+    factor of n is below 2**22 except at most one below 2**44, which is then
+    among the primes; otherwise c has no prime factor up to 2**22 and is not
+    below 2**44.  Every prime power divides 0, so 0 raises ValueError.
     """
     if n == 0:
         raise ValueError("cannot factor 0: every prime power divides it")
     n = abs(n)
-    original = n
     factors: dict[int, int] = {}
     while n % 2 == 0:
         factors[2] = factors.get(2, 0) + 1
@@ -58,16 +57,29 @@ def prime_factors(n: int) -> dict[int, int]:
     p = 3
     while p * p <= n:
         if p > _TRIAL_DIVISION_LIMIT:
-            raise ValueError(
-                f"cannot factor {_quote(original)}: cofactor {_quote(n)} has no prime "
-                "factor up to 2**22 and is not below 2**44"
-            )
+            return factors, n
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
         p += 2
     if n > 1:
         factors[n] = factors.get(n, 0) + 1
+    return factors, 1
+
+
+def prime_factors(n: int) -> dict[int, int]:
+    """Factor |n| by trial division, returning {prime: exponent}.
+
+    This succeeds when every prime factor is below 2**22 except at most one
+    below 2**44.  A cofactor that would need trial division past 2**22
+    raises ValueError at once instead of running for hours, and so does 0.
+    """
+    factors, cofactor = _trial_division(n)
+    if cofactor > 1:
+        raise ValueError(
+            f"cannot factor {_quote(abs(n))}: cofactor {_quote(cofactor)} has no prime "
+            "factor up to 2**22 and is not below 2**44"
+        )
     return factors
 
 
@@ -80,14 +92,29 @@ def repeated_prime(n: int) -> int | None:
 
 
 def squarefree_part(n: int) -> int:
-    """The squarefree part f of n > 0, i.e. n = g*g*f with f squarefree."""
+    """The squarefree part f of n > 0, i.e. n = g*g*f with f squarefree.
+
+    The primes up to 2**22 come from trial division.  What is left has only
+    larger prime factors, so a perfect square contributes 1, and a
+    non-square below (2**22)**3 = 2**66 is a prime or a product of two
+    distinct primes and contributes itself.  Any other cofactor raises
+    ValueError.
+    """
     if n <= 0:
         raise ValueError(f"squarefree_part requires a positive integer, got {n}")
+    factors, cofactor = _trial_division(n)
     f = 1
-    for p, e in prime_factors(n).items():
+    for p, e in factors.items():
         if e % 2 == 1:
             f *= p
-    return f
+    if perfect_square_root(cofactor) is not None:
+        return f
+    if cofactor < _TRIAL_DIVISION_LIMIT**3:
+        return f * cofactor
+    raise ValueError(
+        f"cannot factor {_quote(n)}: cofactor {_quote(cofactor)} has no prime factor "
+        "up to 2**22, is not a square and is at least 2**66"
+    )
 
 
 def squarefree_divisors(d_K: int) -> list[int]:
@@ -162,7 +189,8 @@ class _Frozen:
     each public constructor is a __new__, as for Fraction, that validates
     its input and then calls _new.  Two values are equal when they have the
     same type and equal slots, and a value hashes like the tuple of its
-    slots.  No attribute can be set or deleted once built.  KElement alone
+    slots.  No attribute can be set or deleted once built, so copy and
+    pickle rebuild a value through _new from its slots.  KElement alone
     differs: it converts its coordinates to Fraction as it stores them, and
     equals rationals.
     """
@@ -190,6 +218,9 @@ class _Frozen:
 
     def __hash__(self) -> int:
         return hash(self._slot_values(self))
+
+    def __reduce__(self) -> tuple[Any, tuple[object, ...]]:
+        return type(self)._new, self._slot_values(self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -222,11 +253,16 @@ def _same_field(m: int, other: int) -> None:
         raise ValueError(f"mixed fields: m={m} vs m={other}")
 
 
+def _check_int_type(name: str, value: object) -> None:
+    """Raise TypeError unless value is an int and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {_quote(value)} ({type(value).__name__})")
+
+
 def _check_int(name: str, value: object, bits: int) -> None:
     """Raise TypeError unless value is an int and not a bool, and ValueError
     unless 1 <= value < 2**bits; the bound comes before any factoring."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {_quote(value)} ({type(value).__name__})")
+    _check_int_type(name, value)
     if value <= 0:
         raise ValueError(f"{name} must be a positive integer, got {_quote(value)}")
     if value >> bits:  # value >= 2**bits
@@ -417,17 +453,19 @@ class FieldParams(_Frozen):
         return KElement._raw(self.m, a, b)
 
 
+def _unit_coords(m: int) -> tuple[tuple[int, int], ...]:
+    """The units of the ring of integers as theta-coordinate pairs: +-1, plus
+    +-i = +-theta for m = 1 and the powers of theta, in order, for m = 3."""
+    if m == 1:
+        return ((1, 0), (-1, 0), (0, 1), (0, -1))
+    if m == 3:
+        return ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
+    return ((1, 0), (-1, 0))
+
+
 def units_of(params: FieldParams) -> tuple[KElement, ...]:
     """The unit group of the ring of integers: {+-1}, plus i for m=1, six for m=3."""
-    one = params.integer(1)
-    if params.m == 1:
-        return (one, -one, params.element(0, 1), params.element(0, -1))
-    if params.m == 3:
-        units = [one]
-        for _ in range(5):
-            units.append(units[-1] * params.theta)
-        return tuple(units)
-    return (one, -one)
+    return tuple(params.from_theta_coords(a, b) for a, b in _unit_coords(params.m))
 
 
 @lru_cache(maxsize=None)

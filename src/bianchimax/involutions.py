@@ -24,8 +24,11 @@ from math import gcd
 from .field import (
     FieldParams,
     IdealHNF,
+    _check_int_type,
     _Frozen,
     _quote,
+    basis_conjugate,
+    basis_from_sqrt,
     field_params,
     repeated_prime,
     squarefree_divisors,
@@ -46,6 +49,7 @@ class BezoutPair(_Frozen):
 
 
 def _check_divisor(params: FieldParams, d: int) -> None:
+    _check_int_type("d", d)
     if d <= 0:
         raise ValueError(f"d must be positive, got {_quote(d)}")
     if abs(params.d_K) % d != 0:
@@ -80,12 +84,11 @@ def atkin_lehner(params: FieldParams, d: int, pair: BezoutPair | None = None) ->
         pair = bezout_pair(params, d)
     else:
         _check_divisor(params, d)
-    omega = params.omega
-    rows = (
-        (params.integer(pair.u * d), omega * pair.v),
-        (omega.conjugate(), params.integer(d)),
-    )
-    mat = ExtendedMatrix.from_integral(d, rows)
+    t = params.theta_trace
+    w0, w1 = basis_from_sqrt(t, params.m, 1)  # omega = m + sqrt(-m)
+    c0, c1 = basis_conjugate(t, w0, w1)
+    coords = (pair.u * d, 0, pair.v * w0, pair.v * w1, c0, c1, d, 0)
+    mat = ExtendedMatrix._from_coords(params.m, d, coords)
     if mat.f != d:
         raise AssertionError(f"V_{d} canonicalized to denominator {mat.f}")
     return mat

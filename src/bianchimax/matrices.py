@@ -120,6 +120,12 @@ class ExtendedMatrix(_Frozen):
         if scale != 1:
             entry = next(z for row in rows for z in row if not z.is_integral())
             raise ValueError(f"matrix entry {_quote(entry)} is not integral")
+        return cls._from_coords(m, d, coords)
+
+    @classmethod
+    def _from_coords(cls, m: int, d: int, coords: Coords) -> "ExtendedMatrix":
+        """from_integral's core, for M given by its integer theta-coordinates:
+        checks det M = d, then cancels the square part of d into g."""
         _check_det(m, 1, coords, "M", "d", d)
         f = squarefree_part(d)
         return cls._reduced(m, f, isqrt(d // f), coords)

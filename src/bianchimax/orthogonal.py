@@ -445,9 +445,9 @@ def _lift_raw(phi_map: OrthoMap) -> ExtendedMatrix:
 
     and g*A has the integer coordinates conj(P_y)*X*(f*xd/c) with
     g = q*N(X)/c, where c = -gcd(f*xd, q*N(X)) has the sign of q.
-    The root factors the anchor square once, and a factor beyond
-    prime_factors' limit is a LiftError at "root".  Its f is a squarefree
-    part, so of the constructor's checks only det A = f runs on that
+    The root factors the anchor square once, and a square that
+    squarefree_part cannot reduce is a LiftError at "root".  Its f is a
+    squarefree part, so of the constructor's checks only det A = f runs on that
     (f, g, g*A), and 0 < f < 2**66 when the common factor of g and g*A is
     cancelled; any failure is a LiftError at "verification".
     """

@@ -4,7 +4,8 @@ Random sampling walks products of elementary matrices (exact, seeded), and
 the exhaustive enumerator walks every integral 2x2 matrix whose entries have
 basis coordinates within a height bound, bucketing by integer determinant.
 The determinant scan runs on raw integer coordinate pairs so the full
-height-2 sweep (about 4*10**5 matrices) stays fast.
+height-2 sweep (about 4*10**5 matrices) stays fast.  Every matrix is built
+from integer theta-coordinates, with no KElement.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from random import Random
 from typing import Iterator
 
-from .field import FieldParams, KElement, theta_product, units_of
+from .field import FieldParams, KElement, _unit_coords, basis_conjugate, theta_product
 from .involutions import atkin_lehner
 from .matrices import ExtendedMatrix
 
@@ -20,26 +21,28 @@ Coord = tuple[int, int]
 MatrixCoords = tuple[Coord, Coord, Coord, Coord]
 
 
+def _random_coords(rng: Random, height: int) -> Coord:
+    return rng.randint(-height, height), rng.randint(-height, height)
+
+
 def random_integral_element(rng: Random, params: FieldParams, height: int = 2) -> KElement:
-    a = rng.randint(-height, height)
-    b = rng.randint(-height, height)
-    return params.from_theta_coords(a, b)
+    return params.from_theta_coords(*_random_coords(rng, height))
 
 
 def random_unimodular(
     rng: Random, params: FieldParams, length: int = 4, height: int = 2
 ) -> ExtendedMatrix:
     """A random element of SL2(O_K) as a word in elementary matrices."""
-    zero, one = params.integer(0), params.integer(1)
-    result = ExtendedMatrix.identity(params.m)
-    flip = ExtendedMatrix(1, ((zero, -one), (one, zero)))
+    m = params.m
+    result = ExtendedMatrix.identity(m)
+    flip = ExtendedMatrix._raw(m, 1, 1, (0, 0, -1, 0, 1, 0, 0, 0))
     for _ in range(length):
-        z = random_integral_element(rng, params, height)
+        z0, z1 = _random_coords(rng, height)
         if rng.random() < 0.5:
-            step = ExtendedMatrix(1, ((one, z), (zero, one)))
+            step = (1, 0, z0, z1, 0, 0, 1, 0)
         else:
-            step = ExtendedMatrix(1, ((one, zero), (z, one)))
-        result = result * step
+            step = (1, 0, 0, 0, z0, z1, 1, 0)
+        result = result * ExtendedMatrix._raw(m, 1, 1, step)
         if rng.random() < 0.25:
             result = result * flip
     return result
@@ -66,9 +69,7 @@ def random_ambient_element(
     d = rng.randint(1, max_d)
     left = random_unimodular(rng, params, length, height)
     right = random_unimodular(rng, params, length, height)
-    scale = ExtendedMatrix.from_integral(
-        d, ((params.integer(d), params.integer(0)), (params.integer(0), params.integer(1)))
-    )
+    scale = ExtendedMatrix._from_coords(params.m, d, (d, 0, 0, 0, 0, 0, 1, 0))
     return left * scale * right
 
 
@@ -81,10 +82,10 @@ def random_zero_corner_element(
     samples b = -u over the units, which forces c = f*conj(u), and leaves
     d free.
     """
-    u = rng.choice(units_of(params))
-    z = random_integral_element(rng, params, height)
-    rows = ((params.integer(0), -u), (u.conjugate() * f, z))
-    return ExtendedMatrix.from_integral(f, rows)
+    u0, u1 = rng.choice(_unit_coords(params.m))
+    c0, c1 = basis_conjugate(params.theta_trace, u0, u1)
+    d0, d1 = _random_coords(rng, height)
+    return ExtendedMatrix._from_coords(params.m, f, (0, 0, -u0, -u1, f * c0, f * c1, d0, d1))
 
 
 def _coordinate_products(params: FieldParams, height: int) -> tuple[list[Coord], list[list[Coord]]]:
@@ -112,5 +113,5 @@ def integral_matrices_with_det(
 
 
 def matrix_from_coords(params: FieldParams, coords: MatrixCoords, det: int) -> ExtendedMatrix:
-    e = [params.from_theta_coords(a, b) for a, b in coords]
-    return ExtendedMatrix.from_integral(det, ((e[0], e[1]), (e[2], e[3])))
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = coords
+    return ExtendedMatrix._from_coords(params.m, det, (a0, a1, b0, b1, c0, c1, d0, d1))

@@ -9,8 +9,9 @@ from bianchimax.cli import main
 from bianchimax.serialize import orthomap_to_json
 
 
-# diag(p, 1/p, 1, 1) for m = 1 and the prime p = 2**61 - 1
-P_PAST_FACTORING = 2**61 - 1
+# diag(p, 1/p, 1, 1) for m = 1 and p = (2**31 - 1)*(2**61 - 1): two primes
+# past trial division, whose product is not a square and not below 2**66
+P_PAST_FACTORING = (2**31 - 1) * (2**61 - 1)
 LIFT_PAST_FACTORING = json.dumps({"m": 1, "P": [
     str(P_PAST_FACTORING), "0", "0", "0", "0", f"1/{P_PAST_FACTORING}"
 ] + ["0"] * 4 + ["1", "0", "0", "0", "0", "1"]})
@@ -173,7 +174,7 @@ class TestPhiAndLift:
 
     def test_lift_with_a_prime_beyond_the_factoring_limit_fails_at_root(self, capsys, monkeypatch):
         # diag(p, 1/p, 1, 1) passes all three gates; its anchor square has the
-        # prime factor p = 2**61 - 1, which trial division cannot reach
+        # factor P_PAST_FACTORING, which squarefree_part cannot split
         code, out, err = run_cli(capsys, monkeypatch, ["lift"], LIFT_PAST_FACTORING)
         assert code == 1
         message = json.loads(out)["error"]
@@ -360,13 +361,11 @@ def test_coset_with_f_above_2_pow_64_passes_the_f_cap(capsys, monkeypatch, m):
     assert (code, json.loads(out)) == (0, {"member": True, "label": 2 * m})
     code, phi_out, _ = run_cli(capsys, monkeypatch, ["phi"], vd_out)
     assert code == 0
-    code, out, err = run_cli(capsys, monkeypatch, ["lift"], phi_out)
-    if m == M_LIFTABLE:
-        mat = matrix_from_json(json.loads(vd_out))
-        assert code == 0 and matrix_from_json(json.loads(out)) in (mat, -mat)
-    else:
-        # the anchor's square has a cofactor past 2**44, a factoring limit, not the f cap
-        assert code == 1 and "cannot factor" in err and "below 2**66" not in err
+    code, out, _ = run_cli(capsys, monkeypatch, ["lift"], phi_out)
+    # for M_PAST_2_POW_64 the anchor's square leaves a square cofactor past
+    # 2**44 after trial division, which contributes nothing to f
+    mat = matrix_from_json(json.loads(vd_out))
+    assert code == 0 and matrix_from_json(json.loads(out)) in (mat, -mat)
 
 
 def test_stdout_closed_early_prints_no_traceback():

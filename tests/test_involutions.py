@@ -1,3 +1,4 @@
+import re
 from random import Random
 
 import pytest
@@ -75,6 +76,15 @@ class TestAtkinLehner:
             atkin_lehner(params, 3)
         with pytest.raises(ValueError, match="positive"):
             atkin_lehner(params, -2)
+
+    @pytest.mark.parametrize("d,shown", [(True, "True (bool)"), (2.0, "2.0 (float)"),
+                                         (10.0, "10.0 (float)")])
+    def test_divisor_that_is_not_an_int_raises_type_error(self, d, shown):
+        # True divides every |d_K|, and a float reached pow() unnamed
+        params = field_params(5)
+        for build in (bezout_pair, atkin_lehner):
+            with pytest.raises(TypeError, match=rf"^d must be an int, got {re.escape(shown)}$"):
+                build(params, d)
 
     @pytest.mark.parametrize(
         "m", [m for m in range(1, 51) if all(e == 1 for e in prime_factors(m).values())]

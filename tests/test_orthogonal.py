@@ -17,6 +17,7 @@ from bianchimax import (
     LiftError,
     OrthoMap,
     atkin_lehner,
+    bezout_pair,
     classify_coset,
     dual_basis,
     dual_lattice_index,
@@ -1106,22 +1107,61 @@ class TestSpinLift:
 
     def test_prime_beyond_the_factoring_limit_fails_at_root(self):
         # diag(p, 1/p, 1, 1) passes all three gates, but its anchor square has
-        # the prime factor p = 2**61 - 1, past the reach of prime_factors
-        phi = diagonal_image(2**61 - 1)
+        # the factor p = (2**31 - 1)*(2**61 - 1): two primes past trial
+        # division, whose product is not a square and not below 2**66
+        phi = diagonal_image((2**31 - 1) * (2**61 - 1))
         assert phi.is_orthogonal() and phi.determinant() == 1 and phi.maps_positive_cone()
         for lift in (spin_lift, _lift_raw, lift_raw_oracle):
             with pytest.raises(LiftError, match="cannot factor") as err:
                 lift(phi)
             assert type(err.value) is LiftError and err.value.stage == "root"
 
+    def test_a_prime_past_trial_division_below_2_pow_66_lifts(self):
+        # the cofactor 2**61 - 1 left by trial division is below 2**66 and not
+        # a square, so it is squarefree, and f = 2**61 - 1
+        f = 2**61 - 1
+        for lift in (spin_lift, _lift_raw):
+            lifted = lift(diagonal_image(f))
+            assert (lifted.f, lifted.g, lifted.coords) == (f, 1, (f, 0, 0, 0, 0, 0, 1, 0))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=8)
+    @given(
+        st.sampled_from(NINE_FIELDS),
+        st.sampled_from(["unimodular", "coset"]),
+        st.sampled_from([4194319, 2**31 - 1, 2**61 - 1, 2**89 - 1]),
+        st.sampled_from([1, 4194319, 2**31 - 1]),
+        st.integers(0, 15),
+        st.integers(-3, 3),
+        st.integers(-3, 3),
+    )
+    def test_members_with_large_prime_factors_lift(self, m, kind, p, q, index, z0, z1):
+        """spin_lift(spin_map(A)) is +-A for members whose anchor entry has
+        prime factors above 2**22: [[a, 1], [a*z - 1, z]] in SL2(O_K) with
+        a = p*q, and V_d from the Bezout pair whose u is a multiple of p, so
+        that trial division leaves a square cofactor of the anchor square."""
+        params = field_params(m)
+        divisors = squarefree_divisors(params.d_K)
+        d = divisors[index % len(divisors)]
+        if kind == "unimodular":
+            z = params.from_theta_coords(z0, z1)
+            a = params.integer(p * q)
+            mat = ExtendedMatrix.from_integral(1, ((a, params.integer(1)), (a * z - 1, z)))
+        else:
+            u, n = bezout_pair(params, d).u, params.norm_omega // d
+            mat = atkin_lehner(params, d, bezout_pair(params, d, -u * pow(n, -1, p) % p))
+            assert mat.coords[0] % p == 0
+        assert spin_lift(spin_map(mat)) == sign_normalize(mat)
+
     def test_the_lift_factors_f_once(self, monkeypatch):
         # k_square_root finds f as a squarefree part, so the lift does not
         # factor it again to check that it is squarefree
         f = 4194301 * 8796093022151
         factored = []
-        prime_factors = bianchimax.field.prime_factors
+        trial_division = bianchimax.field._trial_division
         monkeypatch.setattr(
-            bianchimax.field, "prime_factors", lambda n: factored.append(n) or prime_factors(n)
+            bianchimax.field,
+            "_trial_division",
+            lambda n: factored.append(n) or trial_division(n),
         )
         lifted = spin_lift(diagonal_image(f))
         assert (lifted.f, lifted.g, lifted.coords) == (f, 1, (f, 0, 0, 0, 0, 0, 1, 0))

@@ -1,7 +1,9 @@
 """The README's library quick start and its CLI examples run as shown, and its
-promise that all values are immutable holds."""
+promise that all values are immutable holds, copies and pickles included."""
 
+import copy
 import os
+import pickle
 import shlex
 import subprocess
 import sys
@@ -141,3 +143,15 @@ def test_every_slot_takes_part_in_equality_and_hash(kind):
         changed = type(value)._new(*slots[:i], None, *slots[i + 1:])
         assert changed != value and not changed == value
         assert hash(changed) != hash(value)
+
+
+@pytest.mark.parametrize("kind", sorted(library_values()))
+@pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_and_pickles_are_equal_values(kind, duplicate):
+    value = library_values()[kind]
+    twin = duplicate(value)
+    assert type(twin) is type(value)
+    assert twin == value and hash(twin) == hash(value)
