@@ -8,7 +8,6 @@ from .field import (
     field_params,
     ideal_from_generators,
     prime_factors,
-    repeated_prime,
     squarefree_divisors,
     squarefree_part,
     units_of,
@@ -79,7 +78,6 @@ __all__ = [
     "orthomap_to_json",
     "preserves_lattice",
     "prime_factors",
-    "repeated_prime",
     "sign_normalize",
     "spin_lift",
     "spin_map",

@@ -9,11 +9,11 @@ int and Fraction coordinates alike and branch on t, so a Fraction never
 pays for a product with t.  Two of them convert to and from the
 {1, sqrt(-m)}-coordinates of the constructor, printing and serialization.
 Only int and Fraction are accepted as coordinates, and every constructor
-that takes m validates it through field_params.  Ideals of the ring of
-integers are built only from generators, into a lower-triangular Hermite
-normal form that is canonical by construction, so equality is a
-componentwise comparison; the principal ideal of a rational integer is
-written down in that form directly.
+that takes m validates it through FieldParams, whose cache is field_params.
+Ideals of the ring of integers are built only from generators, into a
+lower-triangular Hermite normal form that is canonical by construction, so
+equality is a componentwise comparison; the principal ideal of a rational
+integer is written down in that form directly.
 """
 
 from __future__ import annotations
@@ -71,8 +71,10 @@ def prime_factors(n: int) -> dict[int, int]:
     """Factor |n| by trial division, returning {prime: exponent}.
 
     This succeeds when every prime factor is below 2**22 except at most one
-    below 2**44.  A cofactor that would need trial division past 2**22
-    raises ValueError at once instead of running for hours, and so does 0.
+    below 2**44, so it serves only where the primes themselves are needed; a
+    squarefree test asks less of squarefree_part.  A cofactor that would need
+    trial division past 2**22 raises ValueError at once instead of running
+    for hours, and so does 0.
     """
     factors, cofactor = _trial_division(n)
     if cofactor > 1:
@@ -81,14 +83,6 @@ def prime_factors(n: int) -> dict[int, int]:
             "factor up to 2**22 and is not below 2**44"
         )
     return factors
-
-
-def repeated_prime(n: int) -> int | None:
-    """The smallest prime whose square divides n, or None if n is squarefree."""
-    for p, e in sorted(prime_factors(n).items()):
-        if e >= 2:
-            return p
-    return None
 
 
 def squarefree_part(n: int) -> int:
@@ -269,12 +263,20 @@ def _check_int(name: str, value: object, bits: int) -> None:
         raise ValueError(f"{name} must be below 2**{bits}, got {_quote(value)}")
 
 
+def _require_squarefree(name: str, value: int) -> None:
+    """Raise ValueError unless value >= 1 is squarefree, naming the g with
+    g**2 = value / squarefree_part(value): the one squarefree rule for m, f and d."""
+    f = squarefree_part(value)
+    if f != value:
+        raise ValueError(
+            f"{name} must be squarefree, but {isqrt(value // f)}**2 divides {_quote(value)}"
+        )
+
+
 def _check_squarefree(name: str, value: object, bits: int) -> None:
     """_check_int, then raise ValueError unless value is squarefree."""
     _check_int(name, value, bits)
-    p = repeated_prime(value)
-    if p is not None:
-        raise ValueError(f"{name} must be squarefree, but {p}**2 divides {_quote(value)}")
+    _require_squarefree(name, value)
 
 
 def _require_exact(*values: object) -> None:
@@ -424,11 +426,15 @@ class KElement(_Frozen):
 
 class FieldParams(_Frozen):
     """Invariants of K = Q(sqrt(-m)): discriminant, integral generators, and the
-    trace t and norm n of theta, which the basis formulas take."""
+    trace t and norm n of theta, which the basis formulas take.  FieldParams(m)
+    validates m and works out the rest; field_params(m) keeps one per m."""
 
     __slots__ = ("m", "d_K", "theta", "omega", "theta_trace", "theta_norm")
 
-    def __new__(cls, m: int, t: int, n: int) -> FieldParams:
+    def __new__(cls, m: int) -> FieldParams:
+        """m is a squarefree int, 1 <= m < 2**64."""
+        _check_squarefree("m", m, 64)
+        t, n = (1, (1 + m) // 4) if m % 4 == 3 else (0, m)
         theta, omega = KElement._raw(m, 0, 1), KElement._raw(m, *basis_from_sqrt(t, m, 1))
         return cls._new(m, t * t - 4 * n, theta, omega, t, n)
 
@@ -470,10 +476,8 @@ def units_of(params: FieldParams) -> tuple[KElement, ...]:
 
 @lru_cache(maxsize=None)
 def field_params(m: int) -> FieldParams:
-    """Validated field data for K = Q(sqrt(-m)); m is a squarefree int, 1 <= m < 2**64."""
-    _check_squarefree("m", m, 64)
-    t, n = (1, (1 + m) // 4) if m % 4 == 3 else (0, m)
-    return FieldParams(m, t, n)
+    """The one FieldParams(m) of each m, built on first use and kept."""
+    return FieldParams(m)
 
 
 def _hnf_from_pairs(pairs: Iterable[tuple[int, int]]) -> tuple[int, int, int]:

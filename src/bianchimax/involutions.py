@@ -27,10 +27,10 @@ from .field import (
     _check_int_type,
     _Frozen,
     _quote,
+    _require_squarefree,
     basis_conjugate,
     basis_from_sqrt,
     field_params,
-    repeated_prime,
     squarefree_divisors,
 )
 from .matrices import ExtendedMatrix
@@ -54,9 +54,7 @@ def _check_divisor(params: FieldParams, d: int) -> None:
         raise ValueError(f"d must be positive, got {_quote(d)}")
     if abs(params.d_K) % d != 0:
         raise ValueError(f"d = {_quote(d)} does not divide |d_K| = {abs(params.d_K)}")
-    p = repeated_prime(d)
-    if p is not None:
-        raise ValueError(f"d must be squarefree, {p}**2 divides {_quote(d)}")
+    _require_squarefree("d", d)
 
 
 def bezout_pair(params: FieldParams, d: int, shift: int = 0) -> BezoutPair:

@@ -101,27 +101,18 @@ def _rows4(flat: tuple[int, ...]) -> _IntMat4:
     return tuple(flat[i : i + 4] for i in range(0, 16, 4))
 
 
-def _bareiss_det4(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer 4x4 matrix by fraction-free (Bareiss) elimination.
-
-    Every step is an exact integer division, on a copy of the rows.
-    """
-    rows = [list(row) for row in matrix]
-    sign, prev = 1, 1
-    for k in range(3):
-        if rows[k][k] == 0:
-            swap = next((r for r in range(k + 1, 4) if rows[r][k] != 0), None)
-            if swap is None:
-                return 0
-            rows[k], rows[swap] = rows[swap], rows[k]
-            sign = -sign
-        pivot = rows[k][k]
-        for i in range(k + 1, 4):
-            row_i, factor = rows[i], rows[i][k]
-            for j in range(k + 1, 4):
-                row_i[j] = (row_i[j] * pivot - factor * rows[k][j]) // prev
-        prev = pivot
-    return sign * rows[3][3]
+def _det4(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a 4x4 matrix by Laplace expansion along rows 1-2: the
+    six 2x2 minors of rows 1-2 times their complementary minors in rows 3-4."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = matrix
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+        - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+        + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+        + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+        - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+        + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0)
+    )
 
 
 class OrthoMap(_Frozen):
@@ -191,7 +182,7 @@ class OrthoMap(_Frozen):
 
     def determinant(self) -> Fraction:
         """det P = det(num) / den**4."""
-        return Fraction(_bareiss_det4(self.num), self.den**4)
+        return Fraction(_det4(self.num), self.den**4)
 
     def is_orthogonal(self) -> bool:
         g, rows = gram_matrix(self.m), self.rows
@@ -255,7 +246,7 @@ def preserves_lattice(phi_map: OrthoMap) -> bool:
     An integral matrix has an integral inverse exactly when its determinant
     is a unit, so this is: integral with determinant +-1.
     """
-    return phi_map.den == 1 and abs(_bareiss_det4(phi_map.num)) == 1
+    return phi_map.den == 1 and abs(_det4(phi_map.num)) == 1
 
 
 def dual_basis(params: FieldParams) -> Mat4:
@@ -281,7 +272,7 @@ def in_dual_lattice(params: FieldParams, v: Vec4) -> bool:
 
 def dual_lattice_index(params: FieldParams) -> int:
     """Index of the integral Hermitian lattice in its dual: |det 2G| = |d_K|."""
-    return abs(_bareiss_det4(_twice_gram(params.m)[0]))
+    return abs(_det4(_twice_gram(params.m)[0]))
 
 
 def in_discriminant_kernel(phi_map: OrthoMap) -> bool:
@@ -492,7 +483,7 @@ def spin_lift(phi_map: OrthoMap) -> ExtendedMatrix:
     """
     if not phi_map.is_orthogonal():
         raise LiftError("orthogonality", "matrix does not preserve the quadratic form")
-    if _bareiss_det4(phi_map.num) != phi_map.den**4:
+    if _det4(phi_map.num) != phi_map.den**4:
         raise LiftError("determinant", "matrix has determinant != 1")
     if not phi_map.maps_positive_cone():
         raise LiftError("component", "matrix does not map the positive cone to itself")

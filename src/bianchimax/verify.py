@@ -19,7 +19,14 @@ from math import gcd
 from random import Random
 from typing import Callable
 
-from .field import IdealHNF, field_params, prime_factors, squarefree_divisors, units_of
+from .field import (
+    IdealHNF,
+    field_params,
+    prime_factors,
+    squarefree_divisors,
+    squarefree_part,
+    units_of,
+)
 from .involutions import (
     atkin_lehner,
     bezout_pair,
@@ -258,11 +265,7 @@ def suite_involutions_criterion(ctx: _Context) -> SuiteResult:
     res = SuiteResult("involutions.criterion", ctx.m)
     params = ctx.params
     divisors = set(squarefree_divisors(params.d_K))
-    outside = {
-        d
-        for d in range(2, 11)
-        if d not in divisors and all(e == 1 for e in prime_factors(d).values())
-    }
+    outside = {d for d in range(2, 11) if d not in divisors and squarefree_part(d) == d}
     buckets = ctx.det_bucket(divisors | outside)
     involutions = {d: atkin_lehner(params, d) for d in divisors}
     for d in sorted(divisors):

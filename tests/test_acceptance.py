@@ -25,10 +25,10 @@ from bianchimax import (
     in_discriminant_kernel,
     in_maximal_extension,
     prime_factors,
-    repeated_prime,
     spin_lift,
     spin_map,
     squarefree_divisors,
+    squarefree_part,
 )
 from bianchimax.verify import (
     SuiteResult,
@@ -42,7 +42,7 @@ from bianchimax.verify import (
     suite_orthogonal_lift,
 )
 
-SQUAREFREE_M_TO_100 = [m for m in range(1, 101) if repeated_prime(m) is None]
+SQUAREFREE_M_TO_100 = [m for m in range(1, 101) if squarefree_part(m) == m]
 FIVE_FIELDS = [1, 2, 3, 5, 10]
 NINE_FIELDS = [1, 2, 3, 5, 6, 7, 10, 11, 15]
 

@@ -325,7 +325,6 @@ LARGE_DIAGONAL = json.dumps(
     [
         (["index", "--m", str(LARGE_PRIME)], None, "cannot factor"),
         (["vd", "--m", "1", "--d", str(LARGE_PRIME)], None, "does not divide"),
-        (["classify"], LARGE_DIAGONAL, "cannot factor"),
         (["lift"], LIFT_PAST_FACTORING, "lift failed at stage root"),
         # no prime factor below 2**22: trial division would take seconds
         (["index", "--m", str(2 * 10**3999 + 1)], None, "m must be below 2**64"),
@@ -346,6 +345,53 @@ def test_large_prime_inputs_fail_fast(args, stdin_text, message):
     assert result.returncode == 1
     assert message in json.loads(result.stdout)["error"]
     assert "Traceback" not in result.stderr
+
+
+def run_cli_process(args, stdin_text=None):
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, "-m", "bianchimax", *args],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert "Traceback" not in result.stderr
+    return result.returncode, json.loads(result.stdout)
+
+
+def test_prime_f_past_trial_division_is_decided():
+    # f = LARGE_PRIME is squarefree by the cofactor rule; f does not divide 4
+    assert run_cli_process(["classify"], LARGE_DIAGONAL) == (0, {"member": False})
+
+
+# diag(p, 1/p, 1, 1) for m = 1 and the prime p = 2**61 - 1, which lifts to
+# (1/sqrt(p))*diag(p, 1) with f = p past trial division
+P_MERSENNE_61 = 2**61 - 1
+LIFT_MERSENNE_61 = LIFT_PAST_FACTORING.replace(str(P_PAST_FACTORING), str(P_MERSENNE_61))
+
+
+def test_lift_output_reads_back_into_classify_and_phi():
+    code, lifted = run_cli_process(["lift"], LIFT_MERSENNE_61)
+    assert code == 0 and lifted["f"] == P_MERSENNE_61
+    text = json.dumps(lifted)
+    assert run_cli_process(["classify"], text) == (0, {"member": False})
+    code, image = run_cli_process(["phi"], text)
+    assert code == 0 and image["P"] == json.loads(LIFT_MERSENNE_61)["P"]
+
+
+# Two primes past trial division: squarefree by the cofactor rule, but
+# |d_K| = m cannot be factored into its primes, which index and table need.
+M_TWO_LARGE_PRIMES = 4611686138686472687  # 2147483659 * 2147483693
+
+
+def test_m_with_two_large_primes_is_a_field_without_cosets():
+    code, vd = run_cli_process(["vd", "--m", str(M_TWO_LARGE_PRIMES), "--d", "1"])
+    assert code == 0 and (vd["m"], vd["f"]) == (M_TWO_LARGE_PRIMES, 1)
+    code, out = run_cli_process(["index", "--m", str(M_TWO_LARGE_PRIMES)])
+    assert code == 1 and "cannot factor" in out["error"]
 
 
 # Squarefree m below 2**64 with m % 4 == 1, so |d_K| = 4m and d = 2m is above 2**64.

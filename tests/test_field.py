@@ -5,27 +5,28 @@ import subprocess
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, prod
 from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bianchimax import (
     ExtendedMatrix,
+    FieldParams,
     IdealHNF,
     KElement,
     OrthoMap,
     field_params,
     prime_factors,
-    repeated_prime,
     squarefree_divisors,
     squarefree_part,
     units_of,
 )
 from bianchimax.field import (
+    _check_squarefree,
     basis_conjugate,
     basis_from_sqrt,
     basis_norm,
@@ -34,6 +35,11 @@ from bianchimax.field import (
     theta_product,
 )
 from bianchimax.sampling import random_integral_element
+
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+# Primes just past the trial-division limit 2**22, and the two largest below
+# 2**33, whose product is just below the 2**66 bound of the cofactor rule.
+LARGE_PRIME = st.sampled_from((4194319, 4194329, 4194353, 8589934567, 8589934583))
 
 ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -369,6 +375,14 @@ class TestFieldParams:
     def test_one_object_per_m(self, m):
         assert field_params(m) is field_params(m)
 
+    def test_constructor_validates_m_and_derives_the_rest(self):
+        assert FieldParams(5) == field_params(5)
+        with pytest.raises(ValueError, match=r"^m must be squarefree, but 2\*\*2 divides 4$"):
+            FieldParams(4)
+        # t and n are no longer arguments, so they cannot disagree with m
+        with pytest.raises(TypeError):
+            FieldParams(5, 1, 7)
+
     def test_m_just_below_the_cap_is_a_field(self):
         # 2**64 - 1 = 3 * 5 * 17 * 257 * 641 * 65537 * 6700417 is squarefree
         assert field_params(2**64 - 1).d_K == -(2**64 - 1)
@@ -382,7 +396,7 @@ class TestFieldParams:
 
     @pytest.mark.parametrize("m", range(1, 201))
     def test_divisor_cofactors_coprime(self, m):
-        if repeated_prime(m) is not None:
+        if squarefree_part(m) != m:
             return
         params = field_params(m)
         for d in squarefree_divisors(params.d_K):
@@ -685,14 +699,13 @@ class TestSquarefreeDivisors:
         assert "... (length 614): cofactor 35184372088891 has no" in message
         assert len(message) < 200
 
-    @pytest.mark.parametrize("function", ["prime_factors", "repeated_prime"])
-    def test_zero_raises_instead_of_looping(self, function):
+    def test_zero_raises_instead_of_looping(self):
         # 0 is divisible by 2 forever, so this looped; a subprocess keeps a
         # hang from stalling the suite
         code = (
-            f"from bianchimax import {function}\n"
+            "from bianchimax import prime_factors\n"
             "try:\n"
-            f"    {function}(0)\n"
+            "    prime_factors(0)\n"
             "except ValueError as exc:\n"
             "    print(exc)\n"
         )
@@ -701,6 +714,31 @@ class TestSquarefreeDivisors:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout == "cannot factor 0: every prime power divides it\n"
+
+    @given(
+        small=st.lists(st.sampled_from(SMALL_PRIMES), max_size=3),
+        large=st.one_of(
+            st.just(()),
+            st.tuples(LARGE_PRIME),
+            LARGE_PRIME.map(lambda p: (p, p)),
+            st.tuples(LARGE_PRIME, LARGE_PRIME),
+        ),
+    )
+    @settings(SEEDED, max_examples=25)
+    def test_squarefree_rule_matches_sympy(self, small, large):
+        # each example with two large primes runs trial division to 2**22
+        n = prod(small) * prod(large)
+        assume(n < 2**66)
+        exponents = pytest.importorskip("sympy").factorint(n)
+        f = squarefree_part(n)
+        assert f == prod(p for p, e in exponents.items() if e % 2)
+        assert (f == n) == all(e == 1 for e in exponents.values())
+        if f == n:
+            _check_squarefree("n", n, 66)
+        else:
+            message = rf"^n must be squarefree, but {isqrt(n // f)}\*\*2 divides {n}$"
+            with pytest.raises(ValueError, match=message):
+                _check_squarefree("n", n, 66)
 
     def test_squarefree_part(self):
         assert squarefree_part(1) == 1

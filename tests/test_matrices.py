@@ -297,7 +297,7 @@ class TestMinimalPolynomials:
         def no_factoring(n):
             raise AssertionError("f was factored")
 
-        monkeypatch.setattr("bianchimax.field.repeated_prime", no_factoring)
+        monkeypatch.setattr("bianchimax.field._trial_division", no_factoring)
         with pytest.raises(ValueError, match=r"^denominator part must be below 2\*\*66, got \d") as info:
             is_algebraic_integer(k(1, 1), f)
         assert len(str(info.value)) < 200

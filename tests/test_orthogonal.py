@@ -35,7 +35,7 @@ from bianchimax import (
 )
 from bianchimax.orthogonal import (
     _anchor_products,
-    _bareiss_det4,
+    _det4,
     _first_entry_sign,
     _lift_raw,
 )
@@ -554,7 +554,7 @@ def det4(a):
 
 
 class TestDeterminant:
-    """OrthoMap.determinant runs fraction-free on the integer numerators;
+    """OrthoMap.determinant expands the integer numerators in closed form;
     det4_oracle eliminates over Fractions."""
 
     def random_rational(self, rng, zero_share=0.0):
@@ -797,7 +797,7 @@ class TestDiscriminantKernel:
 
         for scale in (1, disc):
             rows = product(scale)
-            det = _bareiss_det4([list(row) for row in rows])
+            det = _det4([list(row) for row in rows])
             assert det == det4_oracle(rows) and abs(det) == 1
             phi = OrthoMap(m, rows)
             assert preserves_lattice(phi)

@@ -113,7 +113,7 @@ def slot_values(value):
 
 # field_params caches its FieldParams, omega among its slots, so these two are
 # rebuilt through their constructors; the others are new on every call.
-REBUILT = {"KElement": lambda: KElement(5, 5, 1), "FieldParams": lambda: FieldParams(5, 0, 5)}
+REBUILT = {"KElement": lambda: KElement(5, 5, 1), "FieldParams": lambda: FieldParams(5)}
 
 
 @pytest.mark.parametrize("kind", sorted(library_values()))
