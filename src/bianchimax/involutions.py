@@ -42,6 +42,8 @@ class BezoutPair(_Frozen):
     __slots__ = ("u", "v")
 
     def __new__(cls, u: int, v: int) -> BezoutPair:
+        _check_int_type("u", u)
+        _check_int_type("v", v)
         return cls._new(u, v)
 
     def __repr__(self) -> str:
@@ -65,6 +67,9 @@ def bezout_pair(params: FieldParams, d: int, shift: int = 0) -> BezoutPair:
     and shifts > 0 supply alternative pairs for well-definedness checks.
     """
     _check_divisor(params, d)
+    _check_int_type("shift", shift)
+    if shift < 0:
+        raise ValueError(f"shift must be non-negative, got {_quote(shift)}")
     n = params.norm_omega // d
     if gcd(d, n) != 1:
         raise AssertionError(f"gcd(d, N(omega)/d) = {gcd(d, n)} != 1 for d = {d}")
@@ -82,6 +87,9 @@ def atkin_lehner(params: FieldParams, d: int, pair: BezoutPair | None = None) ->
         pair = bezout_pair(params, d)
     else:
         _check_divisor(params, d)
+        if not isinstance(pair, BezoutPair):
+            shown = f"{_quote(pair)} ({type(pair).__name__})"
+            raise TypeError(f"pair must be a BezoutPair, got {shown}")
     t = params.theta_trace
     w0, w1 = basis_from_sqrt(t, params.m, 1)  # omega = m + sqrt(-m)
     c0, c1 = basis_conjugate(t, w0, w1)

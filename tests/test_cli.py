@@ -1,6 +1,7 @@
-import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -24,6 +25,19 @@ def run_cli(capsys, monkeypatch, args, stdin_text=None):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(args, stdin_text=None, timeout=30):
+    """Run `python -m bianchimax` in a new process; a traceback fails the test."""
+    result = subprocess.run(
+        [sys.executable, "-m", "bianchimax", *args],
+        input=stdin_text,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    assert "Traceback" not in result.stderr
+    return result.returncode, result.stdout, result.stderr
 
 
 class TestVd:
@@ -263,21 +277,8 @@ class TestVerify:
         assert (res.passed, res.failed) == (31, 5)
         assert all("stage classification" in c for c in res.counterexamples)
 
-    def test_stdout_golden(self, capsys, monkeypatch):
-        # The output is byte-stable: any change to a suite's samples, checks or
-        # counts changes this sha256.
-        args = ["verify", "--m", "1", "--m", "3", "--m", "5", "--height", "1", "--seed", "0"]
-        code, out, _ = run_cli(capsys, monkeypatch, args)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "876155bd4581be1b9842a8b121901b970e45217af8e44d641a0168682cb7ff27"
-        )
-
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_verify():
-    import subprocess
-    import sys
-
     import bianchimax
 
     src = os.path.dirname(os.path.dirname(bianchimax.__file__))
@@ -298,16 +299,9 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_verify():
 
 
 def test_console_entry_point_runs():
-    import subprocess
-    import sys
-
-    result = subprocess.run(
-        [sys.executable, "-m", "bianchimax", "index", "--m", "1"],
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
-    assert json.loads(result.stdout) == {"m": 1, "d_K": -4, "index": 2}
+    code, out, _ = run_cli_process(["index", "--m", "1"])
+    assert code == 0
+    assert json.loads(out) == {"m": 1, "d_K": -4, "index": 2}
 
 
 LARGE_PRIME = 1000000000000000003
@@ -331,40 +325,16 @@ LARGE_DIAGONAL = json.dumps(
     ],
 )
 def test_large_prime_inputs_fail_fast(args, stdin_text, message):
-    import subprocess
-    import sys
-
     # trial division up to the 18-digit prime would run for hours
-    result = subprocess.run(
-        [sys.executable, "-m", "bianchimax", *args],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
-    assert result.returncode == 1
-    assert message in json.loads(result.stdout)["error"]
-    assert "Traceback" not in result.stderr
-
-
-def run_cli_process(args, stdin_text=None):
-    import subprocess
-    import sys
-
-    result = subprocess.run(
-        [sys.executable, "-m", "bianchimax", *args],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
-    assert "Traceback" not in result.stderr
-    return result.returncode, json.loads(result.stdout)
+    code, out, _ = run_cli_process(args, stdin_text, timeout=10)
+    assert code == 1
+    assert message in json.loads(out)["error"]
 
 
 def test_prime_f_past_trial_division_is_decided():
     # f = LARGE_PRIME is squarefree by the cofactor rule; f does not divide 4
-    assert run_cli_process(["classify"], LARGE_DIAGONAL) == (0, {"member": False})
+    code, out, _ = run_cli_process(["classify"], LARGE_DIAGONAL)
+    assert (code, json.loads(out)) == (0, {"member": False})
 
 
 # diag(p, 1/p, 1, 1) for m = 1 and the prime p = 2**61 - 1, which lifts to
@@ -374,12 +344,12 @@ LIFT_MERSENNE_61 = LIFT_PAST_FACTORING.replace(str(P_PAST_FACTORING), str(P_MERS
 
 
 def test_lift_output_reads_back_into_classify_and_phi():
-    code, lifted = run_cli_process(["lift"], LIFT_MERSENNE_61)
-    assert code == 0 and lifted["f"] == P_MERSENNE_61
-    text = json.dumps(lifted)
-    assert run_cli_process(["classify"], text) == (0, {"member": False})
-    code, image = run_cli_process(["phi"], text)
-    assert code == 0 and image["P"] == json.loads(LIFT_MERSENNE_61)["P"]
+    code, lifted, _ = run_cli_process(["lift"], LIFT_MERSENNE_61)
+    assert code == 0 and json.loads(lifted)["f"] == P_MERSENNE_61
+    code, out, _ = run_cli_process(["classify"], lifted)
+    assert (code, json.loads(out)) == (0, {"member": False})
+    code, image, _ = run_cli_process(["phi"], lifted)
+    assert code == 0 and json.loads(image)["P"] == json.loads(LIFT_MERSENNE_61)["P"]
 
 
 # Two primes past trial division: squarefree by the cofactor rule, but
@@ -388,10 +358,11 @@ M_TWO_LARGE_PRIMES = 4611686138686472687  # 2147483659 * 2147483693
 
 
 def test_m_with_two_large_primes_is_a_field_without_cosets():
-    code, vd = run_cli_process(["vd", "--m", str(M_TWO_LARGE_PRIMES), "--d", "1"])
+    code, out, _ = run_cli_process(["vd", "--m", str(M_TWO_LARGE_PRIMES), "--d", "1"])
+    vd = json.loads(out)
     assert code == 0 and (vd["m"], vd["f"]) == (M_TWO_LARGE_PRIMES, 1)
-    code, out = run_cli_process(["index", "--m", str(M_TWO_LARGE_PRIMES)])
-    assert code == 1 and "cannot factor" in out["error"]
+    code, out, _ = run_cli_process(["index", "--m", str(M_TWO_LARGE_PRIMES)])
+    assert code == 1 and "cannot factor" in json.loads(out)["error"]
 
 
 # Squarefree m below 2**64 with m % 4 == 1, so |d_K| = 4m and d = 2m is above 2**64.
@@ -415,9 +386,6 @@ def test_coset_with_f_above_2_pow_64_passes_the_f_cap(capsys, monkeypatch, m):
 
 
 def test_stdout_closed_early_prints_no_traceback():
-    import subprocess
-    import sys
-
     # The reader goes away before the command writes, as `| head -c 100` can.
     proc = subprocess.Popen(
         [sys.executable, "-m", "bianchimax", "verify", "--m", "1", "--height", "1"],
@@ -434,19 +402,10 @@ def test_stdout_closed_early_prints_no_traceback():
 
 @pytest.mark.parametrize("height", ["-1", "0", "4", "1000000"])
 def test_verify_height_outside_1_to_3_fails_fast(height):
-    import subprocess
-    import sys
-
     # height h sweeps (2h+1)**8 matrices per field; height 0 or below sweeps none
-    result = subprocess.run(
-        [sys.executable, "-m", "bianchimax", "verify", "--m", "1", "--height", height],
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
-    assert result.returncode == 1
-    assert json.loads(result.stdout) == {"error": f"height {height} is outside 1..3"}
-    assert "Traceback" not in result.stderr
+    code, out, _ = run_cli_process(["verify", "--m", "1", "--height", height], timeout=10)
+    assert code == 1
+    assert json.loads(out) == {"error": f"height {height} is outside 1..3"}
 
 
 @pytest.mark.parametrize("height", [-1, 0])
@@ -470,23 +429,13 @@ DEEP = "[" * 100000 + "]" * 100000
     ids=["classify", "phi", "lift-file"],
 )
 def test_deeply_nested_json_is_a_named_error(command, text, tmp_path):
-    import subprocess
-    import sys
-
     if command[-1] == "--file":
         path = tmp_path / "input.json"
         path.write_text(text)
         command, text = [*command, str(path)], None
-    result = subprocess.run(
-        [sys.executable, "-m", "bianchimax", *command],
-        input=text,
-        capture_output=True,
-        text=True,
-        timeout=10,
-    )
-    assert result.returncode == 1
-    assert json.loads(result.stdout) == {"error": "input JSON nests too deeply"}
-    assert "Traceback" not in result.stderr
+    code, out, _ = run_cli_process(command, text, timeout=10)
+    assert code == 1
+    assert json.loads(out) == {"error": "input JSON nests too deeply"}
 
 
 HUGE = 10**6
@@ -507,23 +456,13 @@ HUGE_PAIR = '["0", "0"]'
     ids=["lift-long-string", "classify-long-list"],
 )
 def test_huge_value_is_quoted_briefly(command, text, error, reason):
-    import subprocess
-    import sys
-
-    result = subprocess.run(
-        [sys.executable, "-m", "bianchimax", *command],
-        input=text,
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
-    assert result.returncode == 1
-    assert len(result.stdout.encode()) <= 512
-    assert len(result.stderr.encode()) <= 512
-    message = json.loads(result.stdout)["error"]
+    code, out, err = run_cli_process(command, text)
+    assert code == 1
+    assert len(out.encode()) <= 512
+    assert len(err.encode()) <= 512
+    message = json.loads(out)["error"]
     assert message.startswith(error)
     assert message.endswith(f"... (length {HUGE}){reason}")
-    assert "Traceback" not in result.stderr
 
 
 NEXT_PRIME_AFTER_2_POW_45 = 35184372088891
@@ -551,20 +490,10 @@ HUGE_ENTRY = json.dumps(
          "classify-huge-entry"],
 )
 def test_huge_integer_is_quoted_briefly(args, stdin_text, error, length):
-    import subprocess
-    import sys
-
-    result = subprocess.run(
-        [sys.executable, "-m", "bianchimax", *args],
-        input=stdin_text,
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
-    assert result.returncode == 1
-    assert len(result.stdout.encode()) <= 512
-    assert len(result.stderr.encode()) <= 512
-    message = json.loads(result.stdout)["error"]
+    code, out, err = run_cli_process(args, stdin_text)
+    assert code == 1
+    assert len(out.encode()) <= 512
+    assert len(err.encode()) <= 512
+    message = json.loads(out)["error"]
     assert message.startswith(error)
     assert f"... (length {length})" in message
-    assert "Traceback" not in result.stderr

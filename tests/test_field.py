@@ -146,8 +146,6 @@ def assert_matches_oracle(z, o):
 
 
 ORACLE_MS = [1, 2, 3, 5, 6, 7, 10, 11, 15]
-# Seeded and bounded: the same examples on every run, no example database.
-SEEDED = settings(derandomize=True, database=None, deadline=None)
 small_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 rational_pairs = st.tuples(small_rationals, small_rationals)
 
@@ -155,7 +153,7 @@ rational_pairs = st.tuples(small_rationals, small_rationals)
 class TestAgainstSqrtCoordsOracle:
     """The {1, theta} storage against the {1, sqrt(-m)} arithmetic it replaced."""
 
-    @settings(SEEDED, max_examples=300)
+    @settings(max_examples=300)
     @given(st.sampled_from(ORACLE_MS), rational_pairs, rational_pairs)
     def test_arithmetic(self, m, p, q):
         z, w = KElement(m, *p), KElement(m, *q)
@@ -172,7 +170,7 @@ class TestAgainstSqrtCoordsOracle:
         if ow.norm() != 0:
             assert_matches_oracle(z / w, oz / ow)
 
-    @settings(SEEDED, max_examples=150)
+    @settings(max_examples=150)
     @given(st.sampled_from(ORACLE_MS), rational_pairs, small_rationals)
     def test_mixed_with_rationals(self, m, p, r):
         z, oz, orr = KElement(m, *p), SqrtCoordsOracle(m, *p), SqrtCoordsOracle(m, r, 0)
@@ -185,14 +183,14 @@ class TestAgainstSqrtCoordsOracle:
         if r != 0:
             assert_matches_oracle(z / r, oz / orr)
 
-    @settings(SEEDED, max_examples=150)
+    @settings(max_examples=150)
     @given(st.sampled_from(ORACLE_MS), rational_pairs)
     def test_from_theta_coords(self, m, ab):
         z = field_params(m).from_theta_coords(*ab)
         assert_matches_oracle(z, SqrtCoordsOracle.from_theta_coords(m, *ab))
         assert z.theta_coords() == ab
 
-    @settings(SEEDED, max_examples=150)
+    @settings(max_examples=150)
     @given(st.sampled_from(ORACLE_MS), st.tuples(st.integers(-30, 30), st.integers(-30, 30)))
     def test_integral_elements(self, m, ab):
         z = field_params(m).from_theta_coords(*ab)
@@ -210,7 +208,7 @@ class TestBasisFormulas:
     """field.py's {1, theta} formulas, which KElement and the integer paths
     share, against the {1, sqrt(-m)} oracle on int and Fraction coordinates."""
 
-    @settings(SEEDED, max_examples=400)
+    @settings(max_examples=400)
     @given(st.sampled_from(ORACLE_MS), same_type_pairs)
     def test_against_sqrt_coords_oracle(self, m, pairs):
         p, q = pairs
@@ -250,7 +248,7 @@ class TestHashMatchesEquality:
         assert {params.integer(3): "k"}[3] == "k"
         assert {params.integer(0): "zero"}[0] == "zero"
 
-    @settings(SEEDED, max_examples=150)
+    @settings(max_examples=150)
     @given(st.sampled_from(ORACLE_MS), rational_pairs)
     def test_equal_values_hash_equal(self, m, p):
         z = KElement(m, *p)
@@ -616,7 +614,7 @@ class TestIdeals:
                 if not built.is_zero():
                     assert_canonical_ideal(params, built)
 
-    @settings(SEEDED, max_examples=300)
+    @settings(max_examples=300)
     @given(
         st.sampled_from(ORACLE_MS),
         st.one_of(
@@ -724,7 +722,7 @@ class TestSquarefreeDivisors:
             st.tuples(LARGE_PRIME, LARGE_PRIME),
         ),
     )
-    @settings(SEEDED, max_examples=25)
+    @settings(max_examples=25)
     def test_squarefree_rule_matches_sympy(self, small, large):
         # each example with two large primes runs trial division to 2**22
         n = prod(small) * prod(large)

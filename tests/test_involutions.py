@@ -87,6 +87,20 @@ class TestAtkinLehner:
             with pytest.raises(TypeError, match=rf"^d must be an int, got {re.escape(shown)}$"):
                 build(params, d)
 
+    @pytest.mark.parametrize("build,error,message", [
+        (lambda p: bezout_pair(p, 2, 0.5), TypeError, "shift must be an int, got 0.5 (float)"),
+        (lambda p: bezout_pair(p, 2, True), TypeError, "shift must be an int, got True (bool)"),
+        (lambda p: bezout_pair(p, 2, -3), ValueError, "shift must be non-negative, got -3"),
+        (lambda p: atkin_lehner(p, 2, BezoutPair(8.0, 1)), TypeError,
+         "u must be an int, got 8.0 (float)"),
+        (lambda p: BezoutPair(8, True), TypeError, "v must be an int, got True (bool)"),
+        (lambda p: atkin_lehner(p, 2, (8, 1)), TypeError,
+         "pair must be a BezoutPair, got (8, 1) (tuple)"),
+    ], ids=["float-shift", "bool-shift", "negative-shift", "float-u", "bool-v", "tuple-pair"])
+    def test_bezout_argument_that_is_not_a_valid_int_is_named(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build(field_params(5))
+
     @pytest.mark.parametrize("m", [m for m in range(1, 51) if squarefree_part(m) == m])
     def test_bezout_choice_does_not_change_coset(self, m):
         params = field_params(m)

@@ -636,7 +636,7 @@ class TestOrthoMapStorage:
         assert phi.rows == identity_rows_with(Fraction(-3, 4), 1, 2)
         assert not phi.is_integral() and phi.determinant() == 1
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(
         st.sampled_from(NINE_FIELDS),
         st.sampled_from(["coset", "ambient", "zero_corner"]),
@@ -768,7 +768,7 @@ class TestDiscriminantKernel:
         with pytest.raises(ValueError, match="lattice"):
             in_discriminant_kernel(bad)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         st.sampled_from(NINE_FIELDS),
         st.lists(
@@ -880,7 +880,7 @@ class TestKSquareRoot:
         assert found is not None
         assert found[0] == 3
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(
         st.sampled_from(NINE_FIELDS),
         st.sampled_from(["square", "imaginary", "any", "zero", "beyond_limit"]),
@@ -1027,7 +1027,7 @@ class TestSpinLift:
             spin_lift(bad)
         assert err.value.stage == "orthogonality"
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         st.sampled_from(NINE_FIELDS),
         st.sampled_from(["coset", "ambient", "zero_corner"]),
@@ -1050,7 +1050,7 @@ class TestSpinLift:
             assert _first_entry_sign(signed) == first_entry_sign_oracle(signed)
         assert spin_lift(phi) == sign_normalize(mat)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(
         st.sampled_from(NINE_FIELDS),
         st.sampled_from(["coset", "ambient", "zero_corner"]),
@@ -1124,7 +1124,7 @@ class TestSpinLift:
             lifted = lift(diagonal_image(f))
             assert (lifted.f, lifted.g, lifted.coords) == (f, 1, (f, 0, 0, 0, 0, 0, 1, 0))
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=8)
+    @settings(max_examples=8)
     @given(
         st.sampled_from(NINE_FIELDS),
         st.sampled_from(["unimodular", "coset"]),

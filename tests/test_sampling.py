@@ -121,7 +121,7 @@ def test_atkin_lehner_matches_the_oracle(m):
             assert atkin_lehner(params, d, pair) == atkin_lehner_oracle(params, d, pair)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(
     st.sampled_from(NINE_FIELDS),
     st.sampled_from(["unimodular", "coset", "ambient", "zero_corner"]),
@@ -154,7 +154,7 @@ def test_random_builders_match_the_oracle(m, kind, seed, length, height, size):
     assert results[0] == results[1]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(
     st.sampled_from(NINE_FIELDS),
     st.lists(st.integers(-3, 3), min_size=8, max_size=8),

@@ -30,8 +30,6 @@ from bianchimax.sampling import (
 )
 
 NINE_FIELDS = [1, 2, 3, 5, 6, 7, 10, 11, 15]
-EXAMPLES = settings(derandomize=True, database=None, deadline=None, max_examples=100)
-
 
 class TestRationalStrings:
     @pytest.mark.parametrize(
@@ -301,19 +299,19 @@ class TestParserProperties:
     """Round trips through a JSON encoder, and every malformed document is a
     ValueError, never another exception type."""
 
-    @EXAMPLES
+    @settings(max_examples=100)
     @given(ORTHOMAPS)
     def test_orthomap_round_trip(self, phi):
         obj = orthomap_to_json(phi)
         assert obj["P"] == [str(x) for row in phi.rows for x in row]
         assert orthomap_from_json(through_json(obj)) == phi
 
-    @EXAMPLES
+    @settings(max_examples=100)
     @given(MATRICES)
     def test_matrix_round_trip(self, mat):
         assert matrix_from_json(through_json(matrix_to_json(mat))) == mat
 
-    @settings(EXAMPLES, max_examples=300)
+    @settings(max_examples=300)
     @given(
         st.sampled_from(NINE_FIELDS),
         st.sampled_from(["init", "from_integral", "identity"]),
@@ -330,7 +328,7 @@ class TestParserProperties:
             assert type(mat.f) is int
             assert matrix_from_json(through_json(matrix_to_json(mat))) == mat
 
-    @EXAMPLES
+    @settings(max_examples=100)
     @given(ORTHOMAPS, MATRICES, st.data())
     def test_wrong_shape_or_length_raises_value_error(self, phi, mat, data):
         for obj, parse, nodes in (
@@ -344,7 +342,7 @@ class TestParserProperties:
             with pytest.raises(ValueError):
                 parse(value)
 
-    @EXAMPLES
+    @settings(max_examples=100)
     @given(ORTHOMAPS, MATRICES, st.data())
     def test_one_element_too_many_or_too_few_raises_value_error(self, phi, mat, data):
         for obj, parse, arrays in (
@@ -357,7 +355,7 @@ class TestParserProperties:
             with pytest.raises(ValueError):
                 parse(replace_at(obj, path, resized))
 
-    @EXAMPLES
+    @settings(max_examples=100)
     @given(RATIONALS, ORTHOMAPS, MATRICES, st.data())
     def test_non_canonical_rational_raises_value_error(self, q, phi, mat, data):
         text = data.draw(st.sampled_from(non_canonical_spellings(q)))
