@@ -27,9 +27,8 @@ from .involutions import (
     classify_coset,
     extension_index,
     factor_group_table,
-    in_maximal_extension,
 )
-from .orthogonal import LiftError, _in_discriminant_kernel, preserves_lattice, spin_lift, spin_map
+from .orthogonal import LiftError, in_discriminant_kernel, preserves_lattice, spin_lift, spin_map
 from .serialize import matrix_from_json, matrix_to_json, orthomap_from_json, orthomap_to_json
 
 
@@ -74,10 +73,9 @@ def cmd_vd(args: argparse.Namespace) -> CommandResult:
 
 
 def cmd_classify(args: argparse.Namespace) -> CommandResult:
-    mat = matrix_from_json(_read_json(args))
-    if not in_maximal_extension(mat):
-        return CommandResult(status="ok", payload={"member": False})
-    return CommandResult(status="ok", payload={"member": True, "label": classify_coset(mat)})
+    label = classify_coset(matrix_from_json(_read_json(args)))
+    payload = {"member": True, "label": label} if label else {"member": False}
+    return CommandResult(status="ok", payload=payload)
 
 
 def cmd_phi(args: argparse.Namespace) -> CommandResult:
@@ -87,7 +85,7 @@ def cmd_phi(args: argparse.Namespace) -> CommandResult:
     payload["orthogonal"] = image.is_orthogonal()
     lattice = preserves_lattice(image)
     payload["lattice_preserving"] = lattice
-    payload["discriminant_kernel"] = _in_discriminant_kernel(image) if lattice else False
+    payload["discriminant_kernel"] = in_discriminant_kernel(image) if lattice else False
     return CommandResult(status="ok", payload=payload)
 
 

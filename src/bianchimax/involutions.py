@@ -9,11 +9,12 @@ does not depend on the Bezout pair, the cosets multiply like squarefree
 divisors under d*e/gcd(d,e)**2, and their union over all such d is the
 maximal discrete extension of SL2(O_K) inside SL2(C).
 
-Membership is decided by an ideal criterion on the minimal integral
-representative B of an element: the O_K-ideal generated by the entries of B
-must square to the principal ideal generated by det B.  The coset of a member
-is read off its canonical denominator f and certified by one product with a
-cached V_f**-1; the ideal criterion stays the independent membership test.
+An element belongs to Gamma_K*V_d only when its canonical denominator f is
+d, so classify_coset decides membership and the label at once: f must divide
+|d_K| and the product with a cached V_f**-1 must be integral.  The ideal
+criterion in_maximal_extension is the independent membership test: the
+O_K-ideal generated by the entries of the minimal integral representative B
+must square to the principal ideal generated by det B.
 """
 
 from __future__ import annotations
@@ -122,22 +123,18 @@ def _atkin_lehner_inverse(m: int, d: int) -> ExtendedMatrix:
 
 
 def classify_coset(mat: ExtendedMatrix) -> int:
-    """The divisor d with mat in Gamma_K * V_d; requires membership.
+    """The divisor d with mat in Gamma_K * V_d, or 0 for a non-member.
 
     The canonical squarefree denominator f is the coset label: multiplying an
-    integral unit-determinant matrix into V_d keeps denominator d.  An integral
-    mat * V_f**-1 certifies that mat lies in Gamma_K * V_f, so a member costs
-    one product with a cached V_f**-1.  Only when that certificate fails is the
-    ideal criterion consulted, to tell a non-member (ValueError) from a member
-    outside its labelled coset (AssertionError, a failed self-check).
+    integral unit-determinant matrix into V_d keeps denominator d.  So mat is
+    a member exactly when f divides |d_K| and mat * V_f**-1 is integral, and
+    one product with a cached V_f**-1 decides both membership and the label.
     """
     label = mat.f
     params = field_params(mat.m)
     if abs(params.d_K) % label == 0 and (mat * _atkin_lehner_inverse(mat.m, label)).is_integral():
         return label
-    if not in_maximal_extension(mat):
-        raise ValueError("matrix is not in the maximal discrete extension")
-    raise AssertionError(f"member with denominator {label} is not in coset {label}")
+    return 0
 
 
 def coset_law(d: int, e: int) -> int:

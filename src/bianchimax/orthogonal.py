@@ -278,24 +278,15 @@ def dual_lattice_index(params: FieldParams) -> int:
 def in_discriminant_kernel(phi_map: OrthoMap) -> bool:
     """Whether a lattice automorphism acts as the identity on dual/lattice.
 
-    Raises ValueError unless the map preserves the lattice.
+    Raises ValueError unless the map preserves the lattice.  P acts trivially
+    on dual/lattice when (P - I)(2G)^-1 = (P - I)U/|d_K| is integral, with U
+    from _twice_gram.  P is integral and the first block of U is |d_K| times
+    a unimodular one, so only the columns through its second block matter:
+    with u and w the third and fourth entries of row i of P - I, the test is
+    that (u, w) times that block is divisible by |d_K| for every row i.
     """
     if not preserves_lattice(phi_map):
         raise ValueError("discriminant kernel test requires a lattice-preserving map")
-    return _in_discriminant_kernel(phi_map)
-
-
-def _in_discriminant_kernel(phi_map: OrthoMap) -> bool:
-    """in_discriminant_kernel for a map P already known to preserve the lattice.
-
-    P acts trivially on dual/lattice when (P - I)(2G)^-1 = (P - I)U/|d_K| is
-    integral, with U from _twice_gram.  P is integral and the first block of
-    U is |d_K| times a unimodular one, so only the columns through its second
-    block matter: with u and w the third and fourth entries of row i of P - I,
-    the test is that (u, w) times that block is divisible by |d_K| for every
-    row i.  The precondition matters: for a map that is not integral this
-    answer means nothing.
-    """
     (_, disc, _, _), _, (_, _, b11, b12), (_, _, b21, b22) = _twice_gram(phi_map.m)[1]
     for i, row in enumerate(phi_map.num):
         u = row[2] - (i == 2)

@@ -18,10 +18,6 @@ from .matrices import ExtendedMatrix
 from .orthogonal import OrthoMap
 
 
-def fraction_to_str(q: Fraction) -> str:
-    return str(q)
-
-
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 _DIGIT_CAP = 4300  # digits in a numerator or denominator, CPython's default int parsing limit
 
@@ -60,7 +56,7 @@ def _is_int(value: Any) -> bool:
 
 
 def kelement_to_json(z: KElement) -> list[str]:
-    return [fraction_to_str(z.x), fraction_to_str(z.y)]
+    return [str(z.x), str(z.y)]
 
 
 def kelement_from_json(m: int, obj: Any) -> KElement:
@@ -100,7 +96,7 @@ def matrix_from_json(obj: Any) -> ExtendedMatrix:
 def orthomap_to_json(phi_map: OrthoMap) -> dict[str, Any]:
     return {
         "m": phi_map.m,
-        "P": [fraction_to_str(x) for row in phi_map.rows for x in row],
+        "P": [str(x) for row in phi_map.rows for x in row],
     }
 
 

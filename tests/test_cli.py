@@ -122,13 +122,17 @@ class TestClassify:
     def test_failed_self_check_exits_3_without_traceback(self, capsys, monkeypatch):
         from bianchimax import ExtendedMatrix
 
-        # classify_coset double-checks its label with an integrality test;
-        # force that check to fail.
-        monkeypatch.setattr(ExtendedMatrix, "is_integral", lambda self: False)
-        text = json.dumps(matrix_to_json(atkin_lehner(field_params(1), 2)))
-        code, out, err = run_cli(capsys, monkeypatch, ["classify"], text)
+        # atkin_lehner checks that V_d canonicalizes to denominator d; make
+        # the canonicalization core return the identity, whose f is 1.
+        monkeypatch.setattr(
+            ExtendedMatrix, "_from_coords",
+            classmethod(lambda cls, m, d, coords: cls.identity(m)),
+        )
+        code, out, err = run_cli(capsys, monkeypatch, ["vd", "--m", "1", "--d", "2"])
         assert code == 3
-        assert json.loads(out)["error"].startswith("internal self-check failed: ")
+        assert json.loads(out)["error"] == (
+            "internal self-check failed: V_2 canonicalized to denominator 1"
+        )
         assert "Traceback" not in err
 
     def test_file_input(self, capsys, monkeypatch, tmp_path):
@@ -269,13 +273,10 @@ class TestVerify:
     def test_unclassifiable_lifted_product_is_a_counted_failure(self, monkeypatch):
         from bianchimax import verify
 
-        def not_a_member(mat):
-            raise ValueError("matrix is not in the maximal discrete extension")
-
-        monkeypatch.setattr(verify, "classify_coset", not_a_member)
+        monkeypatch.setattr(verify, "classify_coset", lambda mat: 0)
         res = verify.suite_orthogonal_lift(verify._Context(3, 1, 0))
         assert (res.passed, res.failed) == (31, 5)
-        assert all("stage classification" in c for c in res.counterexamples)
+        assert all(c.startswith("lifted product not in coset") for c in res.counterexamples)
 
 
 def test_cli_import_leaves_out_dataclasses_inspect_and_verify():

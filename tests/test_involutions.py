@@ -226,8 +226,7 @@ class TestClassification:
         mat = ExtendedMatrix.from_integral(
             2, ((k(1, 2), k(1, 0)), (k(1, 1, -1), k(1, 1)))
         )
-        with pytest.raises(ValueError, match="not in the maximal discrete extension"):
-            classify_coset(mat)
+        assert classify_coset(mat) == 0
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 10])
     def test_product_law(self, m):
@@ -252,8 +251,7 @@ class TestClassification:
             3, ((params.integer(3), params.integer(0)), (params.integer(0), params.integer(1)))
         )
         assert mat.f == 3 and abs(params.d_K) % 3 != 0
-        with pytest.raises(ValueError, match="not in the maximal discrete extension"):
-            classify_coset(mat)
+        assert classify_coset(mat) == 0
 
     def test_inverse_cache_is_keyed_by_field_and_divisor(self):
         p1, p5 = field_params(1), field_params(5)
@@ -263,20 +261,16 @@ class TestClassification:
             2, ((p5.integer(2), p5.integer(0)), (p5.integer(0), p5.integer(1)))
         )
         assert (m1_member.f, m5_member.f, m5_non_member.f) == (2, 2, 2)
-        cases = [(m1_member, 2), (m5_member, 2), (m5_non_member, None)]
+        cases = [(m1_member, 2), (m5_member, 2), (m5_non_member, 0)]
         for order in (cases, cases[::-1]):
             involutions._atkin_lehner_inverse.cache_clear()
             for mat, label in order:
-                if label is None:
-                    with pytest.raises(ValueError, match="not in the maximal discrete extension"):
-                        classify_coset(mat)
-                else:
-                    assert classify_coset(mat) == label
+                assert classify_coset(mat) == label
 
     @pytest.mark.parametrize("m", [1, 5])
     def test_members_classify_by_certificate_alone(self, m, monkeypatch):
         def unexpected(mat):
-            raise AssertionError("the ideal criterion ran on a member")
+            raise AssertionError("classify_coset ran the ideal criterion")
 
         monkeypatch.setattr(involutions, "in_maximal_extension", unexpected)
         params = field_params(m)
@@ -284,6 +278,14 @@ class TestClassification:
         for d in squarefree_divisors(params.d_K):
             for _ in range(3):
                 assert classify_coset(random_coset_element(rng, params, d)) == d
+        # Non-members: a denominator outside |d_K|, and one inside it whose
+        # product with V_f**-1 is not integral.
+        for f in (3, 2):
+            diag = ExtendedMatrix.from_integral(
+                f, ((params.integer(f), params.integer(0)), (params.integer(0), params.integer(1)))
+            )
+            assert diag.f == f
+            assert classify_coset(diag) == 0
 
 
 class TestCosetLaw:

@@ -2,6 +2,7 @@
 coordinates: they build no KElement, and each gives the same matrix, drawn in
 the same random order, as its KElement form kept here as the oracle."""
 
+import hashlib
 from random import Random
 
 import pytest
@@ -22,6 +23,7 @@ from bianchimax.sampling import (
     matrix_from_coords,
     random_ambient_element,
     random_coset_element,
+    random_integral_element,
     random_unimodular,
     random_zero_corner_element,
 )
@@ -209,3 +211,29 @@ def test_builders_build_no_k_element(m, monkeypatch):
     monkeypatch.undo()
     assert len(bucket) > 0
     assert all(isinstance(mat, ExtendedMatrix) for mat in built)
+
+
+SAMPLES_SHA256 = "ec60d38cf3e33f6291d5c9078c87820ea4f051ce4d5c4a9c759fec795f3098bf"
+
+
+def test_seeded_samples_are_pinned():
+    """A digest of what the seeded samplers draw over the nine fields.
+
+    The pin table hashes `verify`'s pass/fail counts, which stay the same when
+    a sampler draws other valid samples (say, from a reordered unit list);
+    this digest of every sample's (m, f, g, coords) moves.
+    """
+    rows = []
+    for m in NINE_FIELDS:
+        params = field_params(m)
+        rng = Random(f"pinned:{m}")
+        mats = [random_unimodular(rng, params) for _ in range(4)]
+        mats += [random_coset_element(rng, params, d) for d in squarefree_divisors(params.d_K)]
+        mats += [random_ambient_element(rng, params) for _ in range(4)]
+        mats += [random_zero_corner_element(rng, params, f) for f in (1, 2) for _ in range(8)]
+        rows += [(mat.m, mat.f, mat.g, mat.coords) for mat in mats]
+        for _ in range(4):
+            a, b = random_integral_element(rng, params).theta_coords()
+            rows.append((m, 1, 1, (int(a), int(b))))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == SAMPLES_SHA256
