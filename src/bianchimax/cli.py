@@ -32,22 +32,19 @@ from .orthogonal import LiftError, in_discriminant_kernel, preserves_lattice, sp
 from .serialize import matrix_from_json, matrix_to_json, orthomap_from_json, orthomap_to_json
 
 
-EXIT_CODES = {"error": 1, "internal_error": 3}
-
-
 class CommandResult:
-    def __init__(self, status: str, payload: Any, diagnostics: list[str] | None = None) -> None:
-        self.status = status  # "ok" | "error" | "internal_error"
+    """A command's JSON payload, its exit code (0, 1 or 3) and its stderr lines."""
+
+    def __init__(
+        self, payload: Any, exit_code: int = 0, diagnostics: list[str] | None = None
+    ) -> None:
         self.payload = payload
+        self.exit_code = exit_code
         self.diagnostics = [] if diagnostics is None else diagnostics
 
-    @property
-    def exit_code(self) -> int:
-        return EXIT_CODES.get(self.status, 0)
 
-
-def _error(message: str, status: str = "error") -> CommandResult:
-    return CommandResult(status=status, payload={"error": message}, diagnostics=[message])
+def _error(message: str, exit_code: int = 1) -> CommandResult:
+    return CommandResult({"error": message}, exit_code, [message])
 
 
 def _read_json(args: argparse.Namespace) -> Any:
@@ -69,13 +66,13 @@ def cmd_vd(args: argparse.Namespace) -> CommandResult:
     payload = matrix_to_json(mat)
     payload["u"] = pair.u
     payload["v"] = pair.v
-    return CommandResult(status="ok", payload=payload)
+    return CommandResult(payload)
 
 
 def cmd_classify(args: argparse.Namespace) -> CommandResult:
     label = classify_coset(matrix_from_json(_read_json(args)))
     payload = {"member": True, "label": label} if label else {"member": False}
-    return CommandResult(status="ok", payload=payload)
+    return CommandResult(payload)
 
 
 def cmd_phi(args: argparse.Namespace) -> CommandResult:
@@ -86,7 +83,7 @@ def cmd_phi(args: argparse.Namespace) -> CommandResult:
     lattice = preserves_lattice(image)
     payload["lattice_preserving"] = lattice
     payload["discriminant_kernel"] = in_discriminant_kernel(image) if lattice else False
-    return CommandResult(status="ok", payload=payload)
+    return CommandResult(payload)
 
 
 def cmd_lift(args: argparse.Namespace) -> CommandResult:
@@ -95,24 +92,18 @@ def cmd_lift(args: argparse.Namespace) -> CommandResult:
         lifted = spin_lift(phi_map)
     except LiftError as exc:
         return _error(f"lift failed at stage {exc.stage}: {exc}")
-    return CommandResult(status="ok", payload=matrix_to_json(lifted))
+    return CommandResult(matrix_to_json(lifted))
 
 
 def cmd_index(args: argparse.Namespace) -> CommandResult:
     params = field_params(args.m)
-    return CommandResult(
-        status="ok",
-        payload={"m": params.m, "d_K": params.d_K, "index": extension_index(params)},
-    )
+    return CommandResult({"m": params.m, "d_K": params.d_K, "index": extension_index(params)})
 
 
 def cmd_table(args: argparse.Namespace) -> CommandResult:
     params = field_params(args.m)
     labels, table = factor_group_table(params)
-    return CommandResult(
-        status="ok",
-        payload={"m": params.m, "d_K": params.d_K, "labels": labels, "table": table},
-    )
+    return CommandResult({"m": params.m, "d_K": params.d_K, "labels": labels, "table": table})
 
 
 def cmd_verify(args: argparse.Namespace) -> CommandResult:
@@ -134,7 +125,7 @@ def cmd_verify(args: argparse.Namespace) -> CommandResult:
         f"{r.name}[m={r.m}]: {r.passed} passed, {r.failed} failed" for r in results
     ]
     payload = {"ok": ok, "seed": args.seed, "height": args.height, "suites": suites}
-    return CommandResult(status="ok" if ok else "error", payload=payload, diagnostics=diagnostics)
+    return CommandResult(payload, 0 if ok else 1, diagnostics)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
         result = _error(str(exc))
     except AssertionError as exc:
-        result = _error(f"internal self-check failed: {exc}", status="internal_error")
+        result = _error(f"internal self-check failed: {exc}", exit_code=3)
     exit_code = result.exit_code
     try:
         print(json.dumps(result.payload, sort_keys=True))

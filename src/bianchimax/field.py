@@ -88,14 +88,16 @@ def prime_factors(n: int) -> dict[int, int]:
 def squarefree_part(n: int) -> int:
     """The squarefree part f of n > 0, i.e. n = g*g*f with f squarefree.
 
-    The primes up to 2**22 come from trial division.  What is left has only
-    larger prime factors, so a perfect square contributes 1, and a
-    non-square below (2**22)**3 = 2**66 is a prime or a product of two
-    distinct primes and contributes itself.  Any other cofactor raises
-    ValueError.
+    A perfect square has part 1 and is not factored.  Otherwise the primes
+    up to 2**22 come from trial division.  What is left has only larger
+    prime factors, so a perfect square contributes 1, and a non-square
+    below (2**22)**3 = 2**66 is a prime or a product of two distinct primes
+    and contributes itself.  Any other cofactor raises ValueError.
     """
     if n <= 0:
         raise ValueError(f"squarefree_part requires a positive integer, got {n}")
+    if perfect_square_root(n) is not None:
+        return 1
     factors, cofactor = _trial_division(n)
     f = 1
     for p, e in factors.items():
@@ -185,8 +187,7 @@ class _Frozen:
     same type and equal slots, and a value hashes like the tuple of its
     slots.  No attribute can be set or deleted once built, so copy and
     pickle rebuild a value through _new from its slots.  KElement alone
-    differs: it converts its coordinates to Fraction as it stores them, and
-    equals rationals.
+    compares differently: it equals rationals.
     """
 
     __slots__ = ()
@@ -247,9 +248,14 @@ def _same_field(m: int, other: int) -> None:
         raise ValueError(f"mixed fields: m={m} vs m={other}")
 
 
+def _is_plain_int(value: object) -> bool:
+    """Whether value is an int and not a bool: True is not 1 here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_int_type(name: str, value: object) -> None:
-    """Raise TypeError unless value is an int and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """Raise TypeError unless _is_plain_int(value)."""
+    if not _is_plain_int(value):
         raise TypeError(f"{name} must be an int, got {_quote(value)} ({type(value).__name__})")
 
 
@@ -298,23 +304,18 @@ class KElement(_Frozen):
 
     __slots__ = ("m", "a", "b")
 
-    def __init__(self, m: int, x: _RationalLike, y: _RationalLike) -> None:
+    def __new__(cls, m: int, x: _RationalLike, y: _RationalLike) -> KElement:
         _require_exact(x, y)
-        self._set(m, *basis_from_sqrt(field_params(m).theta_trace, x, y))
-
-    def _set(self, m: int, a: _RationalLike, b: _RationalLike) -> None:
-        # Products and sums already yield exact Fractions, which are kept as
-        # they are; an int or a Fraction subclass is converted.
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "a", a if type(a) is Fraction else Fraction(a))
-        object.__setattr__(self, "b", b if type(b) is Fraction else Fraction(b))
+        return cls._raw(m, *basis_from_sqrt(field_params(m).theta_trace, x, y))
 
     @classmethod
     def _raw(cls, m: int, a: _RationalLike, b: _RationalLike) -> "KElement":
-        """The element a + b*theta."""
-        z = object.__new__(cls)
-        z._set(m, a, b)
-        return z
+        """The element a + b*theta.  Products and sums already yield exact
+        Fractions, which are kept as they are; an int or a Fraction subclass
+        is converted."""
+        return cls._new(
+            m, a if type(a) is Fraction else Fraction(a), b if type(b) is Fraction else Fraction(b)
+        )
 
     @property
     def x(self) -> Fraction:
@@ -429,20 +430,16 @@ class FieldParams(_Frozen):
     trace t and norm n of theta, which the basis formulas take.  FieldParams(m)
     validates m and works out the rest; field_params(m) keeps one per m."""
 
-    __slots__ = ("m", "d_K", "theta", "omega", "theta_trace", "theta_norm")
+    __slots__ = ("m", "d_K", "theta", "theta_trace", "theta_norm")
 
     def __new__(cls, m: int) -> FieldParams:
         """m is a squarefree int, 1 <= m < 2**64."""
         _check_squarefree("m", m, 64)
         t, n = (1, (1 + m) // 4) if m % 4 == 3 else (0, m)
-        theta, omega = KElement._raw(m, 0, 1), KElement._raw(m, *basis_from_sqrt(t, m, 1))
-        return cls._new(m, t * t - 4 * n, theta, omega, t, n)
+        return cls._new(m, t * t - 4 * n, KElement._raw(m, 0, 1), t, n)
 
     def __repr__(self) -> str:
-        return (
-            f"FieldParams(m={self.m}, d_K={self.d_K}, "
-            f"theta={self.theta!r}, omega={self.omega!r})"
-        )
+        return f"FieldParams(m={self.m}, d_K={self.d_K}, theta={self.theta!r})"
 
     @property
     def norm_omega(self) -> int:

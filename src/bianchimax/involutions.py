@@ -25,6 +25,7 @@ from math import gcd
 from .field import (
     FieldParams,
     IdealHNF,
+    _check_int,
     _check_int_type,
     _Frozen,
     _quote,
@@ -52,11 +53,11 @@ class BezoutPair(_Frozen):
 
 
 def _check_divisor(params: FieldParams, d: int) -> None:
-    _check_int_type("d", d)
-    if d <= 0:
-        raise ValueError(f"d must be positive, got {_quote(d)}")
+    """The cap-then-squarefree rule of m and f, with d | |d_K| tested between:
+    |d_K| <= 4m < 2**66."""
+    _check_int("d", d, 66)
     if abs(params.d_K) % d != 0:
-        raise ValueError(f"d = {_quote(d)} does not divide |d_K| = {abs(params.d_K)}")
+        raise ValueError(f"d = {d} does not divide |d_K| = {abs(params.d_K)}")
     _require_squarefree("d", d)
 
 

@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 from typing import Any
 
-from .field import KElement, _quote, field_params
+from .field import KElement, _is_plain_int, _quote, field_params
 from .matrices import ExtendedMatrix
 from .orthogonal import OrthoMap
 
@@ -50,11 +50,6 @@ def fraction_from_str(text: str) -> Fraction:
     return value
 
 
-def _is_int(value: Any) -> bool:
-    """JSON integers only: bool is an int subclass, but true is not 1 here."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def kelement_to_json(z: KElement) -> list[str]:
     return [str(z.x), str(z.y)]
 
@@ -82,7 +77,7 @@ def matrix_from_json(obj: Any) -> ExtendedMatrix:
         if key not in obj:
             raise ValueError(f"matrix JSON is missing key {key!r}")
     m, f, rows = obj["m"], obj["f"], obj["A"]
-    if not _is_int(m) or not _is_int(f):
+    if not _is_plain_int(m) or not _is_plain_int(f):
         raise ValueError("matrix JSON keys 'm' and 'f' must be integers")
     field_params(m)  # validates m
     if not isinstance(rows, list) or len(rows) != 2 or any(
@@ -107,7 +102,7 @@ def orthomap_from_json(obj: Any) -> OrthoMap:
         if key not in obj:
             raise ValueError(f"orthogonal map JSON is missing key {key!r}")
     m, flat = obj["m"], obj["P"]
-    if not _is_int(m):
+    if not _is_plain_int(m):
         raise ValueError("orthogonal map JSON key 'm' must be an integer")
     field_params(m)
     if not isinstance(flat, list) or len(flat) != 16:

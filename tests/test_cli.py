@@ -480,7 +480,8 @@ HUGE_ENTRY = json.dumps(
         (["index", "--m", str(HUGE_SQUARE)], None, "m must be below 2**64, got 1000", 4000),
         (["index", "--m", str(HUGE_COFACTOR)], None,
          "m must be below 2**64, got 3518437208889100", 614),
-        (["vd", "--m", "1", "--d", str(HUGE_SQUARE)], None, "d = 1000", 4000),
+        (["vd", "--m", "1", "--d", str(HUGE_SQUARE)], None, "d must be below 2**66, got 1000",
+         4000),
         # no prime factor below 2**22: trial division of f would take seconds
         (["classify"], LARGE_DIAGONAL.replace(str(LARGE_PRIME), str(2 * HUGE_SQUARE + 1)),
          "denominator part must be below 2**66, got 2000", 4000),

@@ -341,8 +341,7 @@ class TestFieldParams:
 
     def test_m5_omega_norm(self):
         params = field_params(5)
-        assert params.omega == KElement(5, 5, 1)
-        assert params.omega.norm() == 30
+        assert params.element(5, 1).norm() == 30
         assert params.norm_omega == 30
 
     @pytest.mark.parametrize("m", [0, -3])
@@ -745,3 +744,13 @@ class TestSquarefreeDivisors:
         assert squarefree_part(360) == 10
         with pytest.raises(ValueError):
             squarefree_part(0)
+
+    @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1], ids=["2**31-1", "2**61-1"])
+    def test_perfect_square_is_not_trial_divided(self, p, monkeypatch):
+        # trial division of p*p runs to 2**22 before it finds p
+        def forbidden(n):
+            raise AssertionError("a perfect square was trial-divided")
+
+        monkeypatch.setattr("bianchimax.field._trial_division", forbidden)
+        assert squarefree_part(p * p) == 1
+        assert squarefree_part(4 * p * p) == 1

@@ -75,8 +75,18 @@ class TestAtkinLehner:
             atkin_lehner(params, 4)
         with pytest.raises(ValueError, match="divide"):
             atkin_lehner(params, 3)
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"^d must be a positive integer, got -2$"):
             atkin_lehner(params, -2)
+
+    @pytest.mark.parametrize("d", [2**66, 2**66 * 20, 10**3999],
+                             ids=["2**66", "20*2**66", "10**3999"])
+    def test_divisor_cap_comes_first(self, d, monkeypatch):
+        # |d_K| <= 4m < 2**66, so no divisor reaches the cap, and d is refused
+        # before it is tested for squares
+        monkeypatch.setattr("bianchimax.involutions._require_squarefree", None)
+        for build in (bezout_pair, atkin_lehner):
+            with pytest.raises(ValueError, match=r"^d must be below 2\*\*66, got \d"):
+                build(field_params(5), d)
 
     @pytest.mark.parametrize("d,shown", [(True, "True (bool)"), (2.0, "2.0 (float)"),
                                          (10.0, "10.0 (float)")])
@@ -221,7 +231,7 @@ class TestClassification:
         v = atkin_lehner(field_params(1), 2)
         assert classify_coset(v * v) == 1
 
-    def test_non_member_raises(self):
+    def test_non_member_gets_label_zero(self):
         params = field_params(1)
         mat = ExtendedMatrix.from_integral(
             2, ((k(1, 2), k(1, 0)), (k(1, 1, -1), k(1, 1)))
@@ -245,7 +255,7 @@ class TestClassification:
             for _ in range(5):
                 assert classify_coset(random_coset_element(rng, params, d)) == d
 
-    def test_denominator_outside_d_k_raises(self):
+    def test_denominator_outside_d_k_gets_label_zero(self):
         params = field_params(1)
         mat = ExtendedMatrix.from_integral(
             3, ((params.integer(3), params.integer(0)), (params.integer(0), params.integer(1)))

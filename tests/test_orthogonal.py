@@ -1180,7 +1180,7 @@ class TestSpinLift:
         def forbidden(*args):
             raise AssertionError("the lift built a KElement or a Fraction")
 
-        monkeypatch.setattr(KElement, "_set", forbidden)
+        monkeypatch.setattr(KElement, "_new", forbidden)
         monkeypatch.setattr(bianchimax.orthogonal, "Fraction", forbidden)
         lifted = [_lift_raw(phi) for phi in phis]
         monkeypatch.undo()

@@ -20,6 +20,7 @@ from bianchimax import (
     field_params,
     spin_map,
 )
+from bianchimax.field import _Frozen
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -83,9 +84,9 @@ def library_values():
     params = field_params(5)
     v10 = atkin_lehner(params, 10)
     return {
-        "KElement": params.omega,
+        "KElement": params.element(5, 1),
         "FieldParams": params,
-        "IdealHNF": IdealHNF.principal(params, params.omega),
+        "IdealHNF": IdealHNF.principal(params, params.element(5, 1)),
         "ExtendedMatrix": v10,
         "OrthoMap": spin_map(v10),
         "BezoutPair": bezout_pair(params, 10),
@@ -107,12 +108,31 @@ def test_values_are_immutable(kind):
     assert value == library_values()[kind]
 
 
+def test_values_are_built_only_through_new(monkeypatch):
+    # no value type has an __init__, so _Frozen._new is the one place a value's
+    # slots are filled; FieldParams is built afresh, as field_params caches it
+    built = []
+    new = _Frozen._new.__func__
+
+    def recording_new(cls, *values):
+        built.append(cls)
+        return new(cls, *values)
+
+    monkeypatch.setattr(_Frozen, "_new", classmethod(recording_new))
+    values = {**library_values(), "FieldParams": FieldParams(5)}
+    monkeypatch.undo()
+    assert len(values) == 6
+    for value in values.values():
+        assert type(value).__init__ is object.__init__
+        assert type(value) in built
+
+
 def slot_values(value):
     return tuple(getattr(value, name) for name in type(value).__slots__)
 
 
-# field_params caches its FieldParams, omega among its slots, so these two are
-# rebuilt through their constructors; the others are new on every call.
+# field_params caches its FieldParams, so it is rebuilt through its constructor,
+# and so is the KElement; the others come from library_values afresh.
 REBUILT = {"KElement": lambda: KElement(5, 5, 1), "FieldParams": lambda: FieldParams(5)}
 
 

@@ -64,7 +64,7 @@ def random_unimodular_oracle(rng, params, length=4, height=2):
 
 
 def atkin_lehner_oracle(params, d, pair):
-    omega = params.omega
+    omega = params.element(params.m, 1)
     rows = (
         (params.integer(pair.u * d), omega * pair.v),
         (omega.conjugate(), params.integer(d)),
@@ -193,7 +193,7 @@ def test_matrix_from_coords_matches_the_oracle_on_a_det_bucket(m):
 
 @pytest.mark.parametrize("m", NINE_FIELDS)
 def test_builders_build_no_k_element(m, monkeypatch):
-    params = field_params(m)  # cached, with its theta and omega, before the patch
+    params = field_params(m)  # cached, with its theta, before the patch
     divisors = squarefree_divisors(params.d_K)
     bucket = list(integral_matrices_with_det(params, 1, set(divisors)))
     rng = Random(f"guard:{m}")
@@ -201,7 +201,7 @@ def test_builders_build_no_k_element(m, monkeypatch):
     def forbidden(*args):
         raise AssertionError("a builder made a KElement")
 
-    monkeypatch.setattr(KElement, "_set", forbidden)
+    monkeypatch.setattr(KElement, "_new", forbidden)
     built = [atkin_lehner(params, d) for d in divisors]
     built += [random_unimodular(rng, params) for _ in range(5)]
     built += [random_coset_element(rng, params, d) for d in divisors]
