@@ -31,11 +31,22 @@ _QUOTE_LIMIT = 80  # characters of an offending value that an error message repe
 
 def _quote(value: Any) -> str:
     """repr(value) for an error message, cut to _QUOTE_LIMIT characters plus
-    the length of the value, so that a huge input gives a short message."""
-    text = repr(value)
+    the length of the value, so that a huge input gives a short message.
+
+    An int is cut before it is printed: past CPython's int-to-str digit limit
+    its repr raises.  Dividing |value| by 10**k, k at most its digit count less
+    _QUOTE_LIMIT, keeps more than _QUOTE_LIMIT leading digits, and adding k back
+    gives the length.
+    """
+    if _is_plain_int(value):
+        k = max(0, (value.bit_length() - 1) * 30102 // 100000 - _QUOTE_LIMIT)
+        text = ("-" if value < 0 else "") + str(abs(value) // 10**k)
+        size = len(text) + k
+    else:
+        text = repr(value)
+        size = len(value) if isinstance(value, (str, list, tuple, dict)) else len(text)
     if len(text) <= _QUOTE_LIMIT:
         return text
-    size = len(value) if isinstance(value, (str, list, tuple, dict)) else len(text)
     return f"{text[:_QUOTE_LIMIT]}... (length {size})"
 
 
@@ -95,7 +106,7 @@ def squarefree_part(n: int) -> int:
     and contributes itself.  Any other cofactor raises ValueError.
     """
     if n <= 0:
-        raise ValueError(f"squarefree_part requires a positive integer, got {n}")
+        raise ValueError(f"squarefree_part requires a positive integer, got {_quote(n)}")
     if perfect_square_root(n) is not None:
         return 1
     factors, cofactor = _trial_division(n)
@@ -393,6 +404,12 @@ class KElement(_Frozen):
         if o is None:
             return NotImplemented
         return self * o.inverse()
+
+    def __rtruediv__(self, other: object) -> "KElement":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
 
     def conjugate(self) -> "KElement":
         a, b = basis_conjugate(field_params(self.m).theta_trace, self.a, self.b)

@@ -7,14 +7,16 @@ by (seed, suite name, m), so output is byte-stable for identical flags.
 
 `bianchimax verify` runs every suite through `run_suites`, which accepts
 only heights 1 to 3: the exhaustive sweeps enumerate (2h+1)**8 coordinate
-tuples per field at height h.  The acceptance tests call chosen suites on
-their own fields and heights with a `_Context` whose `scale` multiplies
+tuples per field at height h.  Every acceptance criterion calls chosen suites
+on its own fields and heights with a `_Context` whose `scale` multiplies
 every random sample count; at scale 1 every random draw is the CLI's.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
+from itertools import product
 from math import gcd
 from random import Random
 from typing import Callable
@@ -33,12 +35,15 @@ from .involutions import (
     classify_coset,
     coset_law,
     extension_index,
+    factor_group_table,
     in_maximal_extension,
 )
 from .matrices import ExtendedMatrix, is_algebraic_integer
 from .orthogonal import (
     LiftError,
     OrthoMap,
+    _rows4,
+    _twice_gram,
     dual_basis,
     dual_lattice_index,
     in_discriminant_kernel,
@@ -107,6 +112,33 @@ class _Context:
             for det, coords in integral_matrices_with_det(self.params, self.height, missing):
                 self._det_buckets[det].append(coords)
         return {d: self._det_buckets[d] for d in wanted}
+
+    @cached_property
+    def swept(self) -> tuple[set[int], dict[int, list[tuple[ExtendedMatrix, int]]]]:
+        """The divisors of |d_K|, and per det (each divisor and squarefree 2..10 outside
+        them) the swept matrices with their labels, built and classified once."""
+        divisors = set(squarefree_divisors(self.params.d_K))
+        outside = {d for d in range(2, 11) if d not in divisors and squarefree_part(d) == d}
+        buckets = self.det_bucket(divisors | outside)
+        mats = {d: [matrix_from_coords(self.params, c, d) for c in buckets[d]] for d in buckets}
+        return divisors, {d: [(mat, classify_coset(mat)) for mat in mats[d]] for d in mats}
+
+    @cached_property
+    def converse_maps(self) -> list[OrthoMap]:
+        """12*scale even words of 2, 4 or 6 integral reflections, each times -E if it
+        swaps the two cones, then the first two times every spin_map(V_d), so that
+        every coset is met even where the reflections reach only some of them."""
+        reflections, rng = _integral_reflections(self.m), self.rng("orthogonal.characterization")
+        minus_e = OrthoMap(self.m, [[-int(i == j) for j in range(4)] for i in range(4)])
+        words = []
+        for _ in range(12 * self.scale):
+            word = OrthoMap.identity(self.m)
+            for _ in range(rng.choice((2, 4, 6))):
+                word = word * rng.choice(reflections)
+            words.append(word if word.maps_positive_cone() else word * minus_e)
+        divisors = squarefree_divisors(self.params.d_K)
+        return words + [w * spin_map(atkin_lehner(self.params, d))
+                        for w in words[:2] for d in divisors]
 
 
 def suite_field_divisors(ctx: _Context) -> SuiteResult:
@@ -263,25 +295,83 @@ def suite_involutions_cosets(ctx: _Context) -> SuiteResult:
 def suite_involutions_criterion(ctx: _Context) -> SuiteResult:
     """Ideal criterion vs. coset membership and label on an exhaustive enumeration."""
     res = SuiteResult("involutions.criterion", ctx.m)
-    params = ctx.params
-    divisors = set(squarefree_divisors(params.d_K))
-    outside = {d for d in range(2, 11) if d not in divisors and squarefree_part(d) == d}
-    buckets = ctx.det_bucket(divisors | outside)
+    divisors, swept = ctx.swept
     for d in sorted(divisors):
-        for coords in buckets[d]:
-            mat = matrix_from_coords(params, coords, d)
+        for mat, label in swept[d]:
             member = in_maximal_extension(mat)
             res.check(
-                member == (classify_coset(mat) == d),
+                member == (label == d),
                 lambda mat=mat, member=member: f"criterion={member}, coset/label differ: {mat!r}",
             )
-    for d in sorted(outside):
-        for coords in buckets[d]:
-            mat = matrix_from_coords(params, coords, d)
+    for d in sorted(swept.keys() - divisors):
+        for mat, _ in swept[d]:
             res.check(
                 not in_maximal_extension(mat),
                 lambda mat=mat: f"matrix with det {mat.f} outside d_K passed the criterion: {mat!r}",
             )
+    return res
+
+
+def suite_involutions_factor_group(ctx: _Context) -> SuiteResult:
+    """The coset labels form an elementary abelian 2-group: the product of two
+    labels is the label of the symmetric difference of their prime supports."""
+    res = SuiteResult("involutions.factor_group", ctx.m)
+    labels, table = factor_group_table(ctx.params)
+    supports = {d: frozenset(prime_factors(d)) for d in labels}
+    by_support = {s: d for d, s in supports.items()}
+    res.check(len(by_support) == len(labels), lambda: f"labels {labels} share a support")
+    for i, d in enumerate(labels):
+        res.check(table[i][i] == 1, lambda d=d: f"{d} is not self-inverse")
+        res.check(sorted(table[i]) == labels, lambda d=d: f"row {d} does not permute {labels}")
+        for j, e in enumerate(labels):
+            res.check(
+                table[i][j] == by_support.get(supports[d] ^ supports[e]),
+                lambda d=d, e=e: f"table[{d}][{e}] is not the symmetric-difference label",
+            )
+    return res
+
+
+def _integral_reflections(m: int) -> list[OrthoMap]:
+    """The integral reflections I - 2*v*(Tv)^t/(v^t T v), T = 2G from _twice_gram, of the
+    v with entries in [-2, 2] and q(v) != 0; v and -v give the same one."""
+    found = set()
+    for v in product(range(-2, 3), repeat=4):
+        tv = [sum(x * y for x, y in zip(row, v)) for row in _twice_gram(m)[0]]
+        vtv = sum(x * y for x, y in zip(v, tv))
+        num = [vtv * (i == j) - 2 * v[i] * tv[j] for i in range(4) for j in range(4)]
+        if vtv and all(x % vtv == 0 for x in num):
+            found.add(_rows4(tuple(x // vtv for x in num)))
+    return [OrthoMap(m, rows) for rows in sorted(found)]
+
+
+def suite_orthogonal_characterization(ctx: _Context) -> SuiteResult:
+    """The image of the extension is the lattice group, with the discriminant
+    kernel at f = 1, both ways: on the sweeps of involutions.criterion, and
+    conversely on reflection words, which spin_map did not produce."""
+    res = SuiteResult("orthogonal.characterization", ctx.m)
+    divisors, swept = ctx.swept
+    for d in sorted(swept):
+        for mat, label in swept[d]:
+            image = spin_map(mat)
+            lattice = preserves_lattice(image)
+            res.check(lattice == (label != 0), lambda mat=mat: f"lattice != membership: {mat!r}")
+            if label:
+                res.check(lattice and in_discriminant_kernel(image) == (mat.f == 1),
+                          lambda mat=mat: f"discriminant kernel test != (f == 1): {mat!r}")
+    labels = set()
+    for phi in ctx.converse_maps:
+        try:
+            lifted = spin_lift(phi)
+        except LiftError as exc:
+            res.check(False, lambda phi=phi, exc=exc: f"lift failed at {exc.stage}: {phi!r}")
+            continue
+        member = in_maximal_extension(lifted)
+        res.check(member, lambda phi=phi: f"lift outside the extension: {phi!r}")
+        res.check(in_discriminant_kernel(phi) == (lifted.f == 1),
+                  lambda phi=phi: f"kernel test != (f == 1) on the lift of {phi!r}")
+        if member:
+            labels.add(classify_coset(lifted))
+    res.check(labels == divisors, lambda: f"lifts reached the cosets {sorted(labels)} only")
     return res
 
 
@@ -416,8 +506,10 @@ ALL_SUITES: tuple[Callable[[_Context], SuiteResult], ...] = (
     suite_field_ideals,
     suite_involutions_cosets,
     suite_involutions_criterion,
+    suite_involutions_factor_group,
     suite_matrices_canonical,
     suite_matrices_entries,
+    suite_orthogonal_characterization,
     suite_orthogonal_homomorphism,
     suite_orthogonal_lattice,
     suite_orthogonal_lift,
@@ -429,10 +521,13 @@ def run_suites(ms: list[int], height: int = 2, seed: int = 0) -> list[SuiteResul
     """Run every suite for every m, ordered by suite name then m.
 
     Height 0 or below sweeps nothing and height 4 sweeps 9**8 matrices per
-    field, so a height outside 1..3 raises ValueError.
+    field, so a height outside 1..3 raises ValueError, and so does an m given
+    twice, which would run and print every suite twice.
     """
     if not 1 <= height <= 3:
         raise ValueError(f"height {height} is outside 1..3")
+    if len(set(ms)) < len(ms):
+        raise ValueError(f"m = {max(ms, key=ms.count)} is given more than once")
     results: list[SuiteResult] = []
     for m in ms:
         ctx = _Context(m, height, seed)

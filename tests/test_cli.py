@@ -248,7 +248,8 @@ class TestVerify:
         assert {s["m"] for s in payload["suites"]} == {1, 3}
 
 
-    def test_failed_lift_is_a_counted_failure(self, capsys, monkeypatch):
+    @staticmethod
+    def plant_lift_failing_on_seventh_call(monkeypatch):
         from bianchimax import LiftError, verify
 
         real_lift, calls = verify.spin_lift, []
@@ -260,15 +261,61 @@ class TestVerify:
             return real_lift(phi_map)
 
         monkeypatch.setattr(verify, "spin_lift", lift_failing_on_seventh_call)
+
+    def test_failed_lift_is_a_counted_failure(self, monkeypatch):
+        from bianchimax import verify
+
+        self.plant_lift_failing_on_seventh_call(monkeypatch)
+        res = verify.suite_orthogonal_lift(verify._Context(3, 1, 0))
+        assert res.failed == 1
+        assert res.passed == 35
+        assert len(res.counterexamples) == 1 and "root" in res.counterexamples[0]
+
+    def test_failed_lift_in_the_characterization_is_a_counted_failure(self, capsys, monkeypatch):
+        self.plant_lift_failing_on_seventh_call(monkeypatch)
         code, out, _ = run_cli(capsys, monkeypatch, ["verify", "--m", "3", "--height", "1"])
         assert code == 1
         payload = json.loads(out)
         assert payload["ok"] is False
-        assert len(payload["suites"]) == 10
+        assert len(payload["suites"]) == 12
+        # orthogonal.characterization lifts 16 maps for m = 3 and runs before orthogonal.lift
         failed = {s["name"]: s for s in payload["suites"] if s["failed"]}
-        assert list(failed) == ["orthogonal.lift"]
-        assert failed["orthogonal.lift"]["failed"] >= 1
-        assert any("root" in c for c in failed["orthogonal.lift"]["counterexamples"])
+        assert list(failed) == ["orthogonal.characterization"]
+        assert failed["orthogonal.characterization"]["failed"] == 1
+        assert any("root" in c for c in failed["orthogonal.characterization"]["counterexamples"])
+
+    def test_lattice_test_passing_everything_fails_the_characterization(
+        self, capsys, monkeypatch
+    ):
+        from bianchimax import verify
+
+        monkeypatch.setattr(verify, "preserves_lattice", lambda phi_map: True)
+        code, out, _ = run_cli(capsys, monkeypatch, ["verify", "--m", "5", "--height", "1"])
+        assert code == 1
+        failed = {s["name"]: s for s in json.loads(out)["suites"] if s["failed"]}
+        assert list(failed) == ["orthogonal.characterization"]
+        assert failed["orthogonal.characterization"]["failed"] >= 1
+        assert all(c.startswith("lattice != membership")
+                   for c in failed["orthogonal.characterization"]["counterexamples"])
+
+    def test_swapped_table_entries_fail_the_factor_group(self, monkeypatch):
+        from bianchimax import verify
+
+        real_table = verify.factor_group_table
+
+        def swapped_table(params):
+            labels, table = real_table(params)
+            table[1][2], table[1][3] = table[1][3], table[1][2]
+            return labels, table
+
+        monkeypatch.setattr(verify, "factor_group_table", swapped_table)
+        # m = 5: row 2 reads 2, 1, 5, 10, still a permutation with 1 on the diagonal
+        res = verify.suite_involutions_factor_group(verify._Context(5, 1, 0))
+        assert (res.passed, res.failed) == (23, 2)
+        assert res.counterexamples == [
+            "table[2][5] is not the symmetric-difference label",
+            "table[2][10] is not the symmetric-difference label",
+        ]
 
     def test_unclassifiable_lifted_product_is_a_counted_failure(self, monkeypatch):
         from bianchimax import verify
@@ -407,6 +454,19 @@ def test_verify_height_outside_1_to_3_fails_fast(height):
     code, out, _ = run_cli_process(["verify", "--m", "1", "--height", height], timeout=10)
     assert code == 1
     assert json.loads(out) == {"error": f"height {height} is outside 1..3"}
+
+
+def test_verify_repeated_m_fails_before_any_suite(capsys, monkeypatch):
+    from bianchimax import verify
+
+    def suite_that_must_not_run(ctx):
+        raise AssertionError("a suite ran")  # exit 3
+
+    monkeypatch.setattr(verify, "ALL_SUITES", (suite_that_must_not_run,))
+    code, out, err = run_cli(capsys, monkeypatch, ["verify", "--m", "1", "--m", "3", "--m", "1"])
+    assert code == 1
+    assert json.loads(out) == {"error": "m = 1 is given more than once"}
+    assert err == "m = 1 is given more than once\n"
 
 
 @pytest.mark.parametrize("height", [-1, 0])

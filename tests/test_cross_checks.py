@@ -155,6 +155,10 @@ class TestOperatorCoercions:
         assert 3 * z == KElement(3, Fraction(3, 2), Fraction(3, 2))
         assert z / 2 == KElement(3, Fraction(1, 4), Fraction(1, 4))
         assert z + Fraction(1, 2) == KElement(3, 1, Fraction(1, 2))
+        assert 1 / z == KElement(3, Fraction(1, 2), Fraction(-1, 2))
+        assert Fraction(1, 2) / z == KElement(3, Fraction(1, 4), Fraction(-1, 4))
+        with pytest.raises(ZeroDivisionError):
+            1 / KElement(3, 0, 0)
 
     def test_equality_against_plain_numbers(self):
         assert KElement(5, 7, 0) == 7

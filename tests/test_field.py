@@ -384,9 +384,13 @@ class TestFieldParams:
         # 2**64 - 1 = 3 * 5 * 17 * 257 * 641 * 65537 * 6700417 is squarefree
         assert field_params(2**64 - 1).d_K == -(2**64 - 1)
 
-    @pytest.mark.parametrize("m", [2**64, 2**64 + 1, 10**3999], ids=["2**64", "2**64+1", "10**3999"])
+    @pytest.mark.parametrize(
+        "m", [2**64, 2**64 + 1, 10**3999, 10**5000],
+        ids=["2**64", "2**64+1", "10**3999", "10**5000"],
+    )
     def test_m_at_or_above_the_cap_raises(self, m):
-        # 10**3999 is not squarefree, but the cap is checked before factoring
+        # 10**3999 is not squarefree, but the cap is checked before factoring;
+        # 10**5000 has more digits than repr of an int may print
         with pytest.raises(ValueError, match=r"^m must be below 2\*\*64, got \d+") as info:
             field_params(m)
         assert len(str(info.value)) < 200
@@ -744,6 +748,14 @@ class TestSquarefreeDivisors:
         assert squarefree_part(360) == 10
         with pytest.raises(ValueError):
             squarefree_part(0)
+
+    def test_huge_negative_is_quoted_briefly(self):
+        # more digits than repr of an int may print
+        with pytest.raises(ValueError) as info:
+            squarefree_part(-(10**5000))
+        message = str(info.value)
+        assert message.startswith("squarefree_part requires a positive integer, got -1000")
+        assert message.endswith("... (length 5002)") and len(message) < 200
 
     @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1], ids=["2**31-1", "2**61-1"])
     def test_perfect_square_is_not_trial_divided(self, p, monkeypatch):

@@ -66,27 +66,27 @@ PINS = [
     # The verify suites at height 1 on m = 1, 3, 5.
     pytest.param(
         verify("--m", "1", "--m", "3", "--m", "5", "--height", "1", "--seed", "0"),
-        "876155bd4581be1b9842a8b121901b970e45217af8e44d641a0168682cb7ff27",
+        "4707f773a6a6d624d9c6b848c18501bdce7c9b48d9a3c8b54acd03b6f6e8dcbf",
         id="verify-m1-m3-m5-height-1",
     ),
     # The default height.
     pytest.param(
         verify("--m", "1", "--m", "5", "--height", "2", "--seed", "0"),
-        "774cd64cb008e49be7f7209efc79a14a72e34d2b636c007312de32d88f66f6e7",
+        "c95935484ad817c641c78026c63abbc4126ab4d72cb1b68d45433f73cac45fd2",
         id="verify-m1-m5-height-2",
     ),
     # Six more fields, three of them with m = 3 (mod 4).
     pytest.param(
         verify(*(a for m in (2, 6, 7, 10, 11, 15) for a in ("--m", str(m))),
                "--height", "1", "--seed", "3"),
-        "e626a3415ac22cf9c28b8e4dd1eeb4f2f2ac8fc17c6df95cb28508f14ed6d58f",
+        "d47a9ace205605b2d4d14e2c9ccf2630c044d493ab38dc5f5d8abb7c47c16e49",
         id="verify-six-fields-height-1",
     ),
     # d_K = -120 and -420 have 8 and 16 cosets, so the kernel congruences meet
     # every combination of the 2-, 3-, 5- and 7-parts.
     pytest.param(
         verify("--m", "30", "--m", "105", "--height", "1", "--seed", "0"),
-        "0ed4499331284e1646dd13e34f0fbf275bc38ee760c868c7105fbb0f1888a44d",
+        "442dfb3c06197d4214788d5b14b50d3e861a9d3c765a5e22fc588d26128800c0",
         id="verify-m30-m105-height-1",
     ),
     # The verify rows pin counts only; these pin computed matrices.
