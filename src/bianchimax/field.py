@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
 from operator import attrgetter
-from typing import Any, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Sequence, TypeVar
 
 
 _TRIAL_DIVISION_LIMIT = 2**22
@@ -33,18 +33,28 @@ def _quote(value: Any) -> str:
     """repr(value) for an error message, cut to _QUOTE_LIMIT characters plus
     the length of the value, so that a huge input gives a short message.
 
-    An int is cut before it is printed: past CPython's int-to-str digit limit
-    its repr raises.  Dividing |value| by 10**k, k at most its digit count less
+    Past CPython's int-to-str digit limit repr raises, so the repr of an int, a
+    Fraction or a KElement is put together here from its integers, each cut
+    before it is printed: dividing |n| by 10**k, k at most its digit count less
     _QUOTE_LIMIT, keeps more than _QUOTE_LIMIT leading digits, and adding k back
     gives the length.
     """
-    if _is_plain_int(value):
-        k = max(0, (value.bit_length() - 1) * 30102 // 100000 - _QUOTE_LIMIT)
-        text = ("-" if value < 0 else "") + str(abs(value) // 10**k)
-        size = len(text) + k
+    if isinstance(value, KElement):
+        parts: list[Any] = [f"KElement(m={value.m}"]
+        for q in (value.x, value.y):
+            parts += [", ", q.numerator, "/", q.denominator][: 2 if q.denominator == 1 else 4]
+        parts.append(")")
+    elif isinstance(value, Fraction):
+        parts = [f"{type(value).__name__}(", value.numerator, ", ", value.denominator, ")"]
     else:
-        text = repr(value)
-        size = len(value) if isinstance(value, (str, list, tuple, dict)) else len(text)
+        parts = [value if _is_plain_int(value) else repr(value)]
+    text, size = "", 0
+    for part in parts:
+        if not isinstance(part, str):
+            k = max(0, (abs(part).bit_length() - 1) * 30102 // 100000 - _QUOTE_LIMIT)
+            part, size = ("-" if part < 0 else "") + str(abs(part) // 10**k), size + k
+        text, size = text + part, size + len(part)
+    size = len(value) if isinstance(value, (str, list, tuple, dict)) else size
     if len(text) <= _QUOTE_LIMIT:
         return text
     return f"{text[:_QUOTE_LIMIT]}... (length {size})"
@@ -192,29 +202,32 @@ def basis_to_scaled_sqrt(t: int, a: _Q, b: _Q) -> tuple[_Q, _Q]:
 class _Frozen:
     """Base of the value types: immutable values compared and hashed by their slots.
 
-    _new builds a value from its slots in __slots__ order, unchecked, and
-    each public constructor is a __new__, as for Fraction, that validates
-    its input and then calls _new.  Two values are equal when they have the
-    same type and equal slots, and a value hashes like the tuple of its
-    slots.  No attribute can be set or deleted once built, so copy and
+    Each subclass gets its own _new, compiled once from __slots__ as
+    collections.namedtuple compiles __new__: one parameter per slot, in
+    __slots__ order, stored unchecked through the slot descriptor's own
+    setter, which __setattr__ does not block.  Each public constructor is a
+    __new__, as for Fraction, that validates its input and then calls _new,
+    the one place a value's slots are filled.  Two values are equal when they
+    have the same type and equal slots, and a value hashes like the tuple of
+    its slots.  No attribute can be set or deleted once built, so copy and
     pickle rebuild a value through _new from its slots.  KElement alone
     compares differently: it equals rationals.
     """
 
     __slots__ = ()
+    _new: Callable[..., Any]  # compiled for each subclass by __init_subclass__
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
         cls._slot_values = attrgetter(*cls.__slots__)
-        # The slot descriptors' own setters, which __setattr__ does not block.
-        cls._slot_setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
-
-    @classmethod
-    def _new(cls: type[_F], *values: object) -> _F:
-        value = object.__new__(cls)
-        for set_slot, slot_value in zip(cls._slot_setters, values):
-            set_slot(value, slot_value)
-        return value
+        # Parameters and setters are numbered: no slot name enters the code.
+        scope = {f"set{i}": vars(cls)[name].__set__ for i, name in enumerate(cls.__slots__)}
+        scope.update(cls=cls, new=object.__new__, __name__=cls.__module__)
+        params = ", ".join(f"_{i}" for i in range(len(cls.__slots__)))
+        body = "".join(f"    set{i}(value, _{i})\n" for i in range(len(cls.__slots__)))
+        exec(f"def _new({params}):\n    value = new(cls)\n{body}    return value\n", scope)
+        scope["_new"].__qualname__ = f"{cls.__qualname__}._new"
+        cls._new = staticmethod(scope["_new"])
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -233,9 +246,6 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-
-_F = TypeVar("_F", bound=_Frozen)
 
 
 def _least_denominator(values: Sequence[_RationalLike]) -> tuple[int, tuple[int, ...]]:

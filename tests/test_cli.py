@@ -533,6 +533,11 @@ HUGE_ENTRY = json.dumps(
     {"m": 1, "f": 1, "A": [[[str(HUGE_SQUARE), "0"], ["0", "0"]], [["0", "0"], ["1", "0"]]]}
 )
 
+LONGEST_ENTRY = "1" + "0" * 4299  # 4300 digits, the JSON cap
+HUGE_DET_ENTRY = json.dumps(
+    {"m": 1, "f": 1, "A": [[[LONGEST_ENTRY, "0"], ["0", "0"]], [["0", "0"], [LONGEST_ENTRY, "0"]]]}
+)
+
 
 @pytest.mark.parametrize(
     "args,stdin_text,error,length",
@@ -547,9 +552,11 @@ HUGE_ENTRY = json.dumps(
          "denominator part must be below 2**66, got 2000", 4000),
         # the message quotes repr(det A), which is 18 characters longer than its digits
         (["classify"], HUGE_ENTRY, "det A = KElement(m=1, 1000", 4018),
+        # two entries at the JSON cap whose determinant has more digits than an int may print
+        (["classify"], HUGE_DET_ENTRY, "det A = KElement(m=1, 1000", 8617),
     ],
     ids=["index-4000-digit-square", "index-614-digit-m", "vd-huge-d", "classify-huge-f",
-         "classify-huge-entry"],
+         "classify-huge-entry", "classify-determinant-past-the-digit-limit"],
 )
 def test_huge_integer_is_quoted_briefly(args, stdin_text, error, length):
     code, out, err = run_cli_process(args, stdin_text)

@@ -27,6 +27,7 @@ from bianchimax import (
 )
 from bianchimax.field import (
     _check_squarefree,
+    _quote,
     basis_conjugate,
     basis_from_sqrt,
     basis_norm,
@@ -766,3 +767,43 @@ class TestSquarefreeDivisors:
         monkeypatch.setattr("bianchimax.field._trial_division", forbidden)
         assert squarefree_part(p * p) == 1
         assert squarefree_part(4 * p * p) == 1
+
+
+class TestQuote:
+    """_quote prints a value as repr does, cut to 80 characters plus its length,
+    and prints no integer in full: past 4300 digits printing an int raises."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [0, -7, Fraction(1, 3), Fraction(-22, 7), FractionSubclass(5, 2), KElement(5, 5, 1),
+         KElement(3, Fraction(1, 2), Fraction(-7, 2)), KElement(2, 0, Fraction(1, 9)), "text",
+         [0, 1], 2.5],
+    )
+    def test_short_value_is_its_repr(self, value):
+        assert _quote(value) == repr(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [-(10**1000), Fraction(10**1000, 7), Fraction(-1, 10**1000), FractionSubclass(1, 3 * 10**99),
+         KElement(1, 10**1000, 0), KElement(3, Fraction(10**500, 3), Fraction(-1, 10**700)),
+         KElement(5, 1, Fraction(1, 10**1000))],
+        ids=["int", "numerator", "denominator", "subclass", "element-x", "element-both",
+             "element-y-denominator"],
+    )
+    def test_long_value_is_a_cut_repr(self, value):
+        # below the digit limit repr itself is the oracle
+        text = repr(value)
+        assert _quote(value) == f"{text[:80]}... (length {len(text)})"
+
+    @pytest.mark.parametrize(
+        "value,prefix,length",
+        [(Fraction(10**4400, 3), "Fraction(1000", 4414),
+         (Fraction(3, -(10**5000)), "Fraction(-3, 1000", 5015),
+         (KElement(1, 10**4400, 0), "KElement(m=1, 1000", 4419),
+         (KElement(1, 1, Fraction(1, 10**5000)), "KElement(m=1, 1, 1/1000", 5021)],
+        ids=["fraction", "fraction-denominator", "element", "element-denominator"],
+    )
+    def test_value_past_the_digit_limit_is_quoted_briefly(self, value, prefix, length):
+        quoted = _quote(value)
+        assert quoted.startswith(prefix) and len(quoted) == 80 + len(f"... (length {length})")
+        assert quoted.endswith(f"... (length {length})")

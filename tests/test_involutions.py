@@ -195,6 +195,25 @@ class TestMembership:
 
 
     @pytest.mark.parametrize("m", [1, 3, 5])
+    def test_norm_identity_decides_membership(self, m):
+        # The entries a, b, c, d of B lie in their ideal I, so det B = ad - bc
+        # lies in I**2, and I**2 == (det B) exactly when N(I) == det B.  The
+        # inputs are those of the benchmark's membership sweep: height-2
+        # matrices whose squarefree determinant divides |d_K| or is at most 10.
+        params = field_params(m)
+        wanted = set(squarefree_divisors(params.d_K))
+        wanted |= {d for d in range(2, 11) if squarefree_part(d) == d}
+        inputs = list(integral_matrices_with_det(params, 2, wanted))
+        answers = []
+        for det, coords in Random(f"norm-identity:{m}").sample(inputs, 1000):
+            mat = matrix_from_coords(params, coords, det)
+            det_b, entries = mat.integral_representative()
+            by_norm = IdealHNF.from_generators(params, entries).norm() == det_b
+            assert in_maximal_extension(mat) is by_norm, (det, coords)
+            answers.append(by_norm)
+        assert 0 < sum(answers) < len(answers)
+
+    @pytest.mark.parametrize("m", [1, 3, 5])
     def test_criterion_builds_two_hnfs(self, m, monkeypatch):
         # The content ideal and its square; (det B) is written down in closed form.
         generic = IdealHNF.from_generators.__func__

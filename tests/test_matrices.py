@@ -98,6 +98,16 @@ class TestCanonicalForm:
         assert message.startswith(prefix)
         assert len(message) < 200 and "... (length 40" in message
 
+    def test_determinant_past_the_digit_limit_is_quoted_briefly(self):
+        # each entry prints, but det A = 10**4400 has more digits than an int may print
+        entry = field_params(1).integer(10**2200)
+        zero = field_params(1).integer(0)
+        with pytest.raises(ValueError) as info:
+            ExtendedMatrix(1, ((entry, zero), (zero, entry)))
+        message = str(info.value)
+        assert message.startswith("det A = KElement(m=1, 1000")
+        assert message.endswith("... (length 4419) does not match f = 1") and len(message) < 200
+
     def test_f_at_or_above_the_cap_raises(self):
         # the cap comes before factoring f, which could take seconds
         for f in (2**66, 2 * HUGE + 1):

@@ -109,22 +109,56 @@ def test_values_are_immutable(kind):
 
 
 def test_values_are_built_only_through_new(monkeypatch):
-    # no value type has an __init__, so _Frozen._new is the one place a value's
-    # slots are filled; FieldParams is built afresh, as field_params caches it
+    # no value type has an __init__, so each type's own _new, compiled from its
+    # __slots__, is the one place a value's slots are filled; FieldParams is
+    # built afresh, as field_params caches it
     built = []
-    new = _Frozen._new.__func__
+    for kind in {type(value) for value in library_values().values()}:
 
-    def recording_new(cls, *values):
-        built.append(cls)
-        return new(cls, *values)
+        def recording_new(*values, kind=kind, new=kind._new):
+            built.append(kind)
+            return new(*values)
 
-    monkeypatch.setattr(_Frozen, "_new", classmethod(recording_new))
+        monkeypatch.setattr(kind, "_new", staticmethod(recording_new))
     values = {**library_values(), "FieldParams": FieldParams(5)}
     monkeypatch.undo()
     assert len(values) == 6
     for value in values.values():
         assert type(value).__init__ is object.__init__
         assert type(value) in built
+
+
+@pytest.mark.parametrize("kind", sorted(library_values()))
+def test_new_takes_one_value_per_slot(kind):
+    value = library_values()[kind]
+    new, slots = type(value)._new, slot_values(value)
+    assert new.__qualname__ == f"{kind}._new"
+    assert new(*slots) == value
+    for wrong in (slots[:-1], (*slots, None)):
+        with pytest.raises(TypeError, match=rf"^{kind}\._new\(\) "):
+            new(*wrong)
+
+
+class Shadowing(_Frozen):
+    """A value type of the tests whose slot names are the names that a
+    compiled _new reads and binds."""
+
+    __slots__ = ("value", "cls", "new", "set0", "_0", "_1")
+
+
+def test_a_new_value_type_gets_its_own_new():
+    slots = tuple(range(6))
+    value = Shadowing._new(*slots)
+    assert type(value) is Shadowing and slot_values(value) == slots
+    assert Shadowing._new is not library_values()["KElement"]._new
+    assert value == Shadowing._new(*slots) and hash(value) == hash(Shadowing._new(*slots))
+    assert value != Shadowing._new(*slots[:-1], 6)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is Shadowing and twin == value
+    with pytest.raises(TypeError, match=r"^Shadowing\._new\(\) "):
+        Shadowing._new(*slots[:-1])
+    with pytest.raises(AttributeError, match="Shadowing is immutable"):
+        value.cls = None
 
 
 def slot_values(value):
