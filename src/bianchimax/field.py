@@ -211,13 +211,17 @@ class _Frozen:
     have the same type and equal slots, and a value hashes like the tuple of
     its slots.  No attribute can be set or deleted once built, so copy and
     pickle rebuild a value through _new from its slots.  KElement alone
-    compares differently: it equals rationals.
+    compares differently: it equals rationals.  A value type is final: a
+    subclass of one raises TypeError when it is defined.
     """
 
     __slots__ = ()
     _new: Callable[..., Any]  # compiled for each subclass by __init_subclass__
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
+        for base in cls.__bases__:
+            if base is not _Frozen and issubclass(base, _Frozen):
+                raise TypeError(f"{base.__name__} cannot be subclassed")
         super().__init_subclass__(**kwargs)
         cls._slot_values = attrgetter(*cls.__slots__)
         # Parameters and setters are numbered: no slot name enters the code.
@@ -595,6 +599,9 @@ class IdealHNF(_Frozen):
             return IdealHNF._new(self.m, (0, 0, 0))
         params = field_params(self.m)
         g1, g2 = self.generators()
+        if other == self:
+            # g2*g1 == g1*g2, so a square has three distinct basis products
+            return IdealHNF.from_generators(params, [g1 * g1, g1 * g2, g2 * g2])
         h1, h2 = other.generators()
         return IdealHNF.from_generators(params, [g1 * h1, g1 * h2, g2 * h1, g2 * h2])
 

@@ -23,6 +23,7 @@ from typing import Callable
 
 from .field import (
     IdealHNF,
+    _check_int_type,
     field_params,
     prime_factors,
     squarefree_divisors,
@@ -520,10 +521,13 @@ ALL_SUITES: tuple[Callable[[_Context], SuiteResult], ...] = (
 def run_suites(ms: list[int], height: int = 2, seed: int = 0) -> list[SuiteResult]:
     """Run every suite for every m, ordered by suite name then m.
 
-    Height 0 or below sweeps nothing and height 4 sweeps 9**8 matrices per
-    field, so a height outside 1..3 raises ValueError, and so does an m given
-    twice, which would run and print every suite twice.
+    Height and seed are ints and not bools, or TypeError is raised.  Height 0
+    or below sweeps nothing and height 4 sweeps 9**8 matrices per field, so a
+    height outside 1..3 raises ValueError, and so does an m given twice, which
+    would run and print every suite twice.
     """
+    _check_int_type("height", height)
+    _check_int_type("seed", seed)
     if not 1 <= height <= 3:
         raise ValueError(f"height {height} is outside 1..3")
     if len(set(ms)) < len(ms):

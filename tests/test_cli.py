@@ -477,6 +477,17 @@ def test_run_suites_rejects_height_outside_1_to_3(height):
         run_suites([1], height=height)
 
 
+@pytest.mark.parametrize(
+    "name,value,kind",
+    [("height", True, "bool"), ("height", 2.0, "float"), ("seed", True, "bool"), ("seed", "0", "str")],
+)
+def test_run_suites_takes_int_height_and_seed(name, value, kind):
+    from bianchimax.verify import run_suites
+
+    with pytest.raises(TypeError, match=rf"^{name} must be an int, got .* \({kind}\)$"):
+        run_suites([1], **{name: value})
+
+
 DEEP = "[" * 100000 + "]" * 100000
 
 

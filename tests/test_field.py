@@ -618,6 +618,35 @@ class TestIdeals:
                 if not built.is_zero():
                     assert_canonical_ideal(params, built)
 
+    @pytest.mark.parametrize("case", ["square", "equal-twin", "distinct"])
+    @pytest.mark.parametrize("m", ORACLE_MS)
+    def test_product_is_the_module_of_all_four_basis_products(self, m, case):
+        # A square forms three basis products, as g2*g1 == g1*g2; the oracle is
+        # all four, for I * I, for I * J with J == I built from permuted and
+        # unit-scaled generators, and for two different ideals.
+        params = field_params(m)
+        rng = Random(f"product:{m}:{case}")
+        units = units_of(params)
+        for _ in range(30):
+            gens = [random_integral_element(rng, params, 4) for _ in range(rng.randint(1, 3))]
+            ideal = IdealHNF.from_generators(params, gens)
+            if case == "square":
+                other = ideal
+            elif case == "equal-twin":
+                twin = [g * rng.choice(units) for g in gens[::-1]]
+                other = IdealHNF.from_generators(params, twin)
+                assert other == ideal and other is not ideal
+            else:
+                other = ideal
+                while other == ideal:
+                    other = IdealHNF.from_generators(
+                        params, [random_integral_element(rng, params, 4) for _ in range(2)]
+                    )
+            g1, g2 = ideal.generators()
+            h1, h2 = other.generators()
+            four = IdealHNF.from_generators(params, [g1 * h1, g1 * h2, g2 * h1, g2 * h2])
+            assert ideal * other == four
+
     @settings(max_examples=300)
     @given(
         st.sampled_from(ORACLE_MS),

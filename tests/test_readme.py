@@ -161,6 +161,15 @@ def test_a_new_value_type_gets_its_own_new():
         value.cls = None
 
 
+@pytest.mark.parametrize("kind", sorted(library_values()))
+def test_value_types_are_final(kind):
+    # a direct _Frozen subclass such as Shadowing is a new value type
+    base = type(library_values()[kind])
+    for namespace in ({}, {"__slots__": ()}, {"__slots__": ("extra",)}):
+        with pytest.raises(TypeError, match=rf"^{kind} cannot be subclassed$"):
+            type("Sub", (base,), namespace)
+
+
 def slot_values(value):
     return tuple(getattr(value, name) for name in type(value).__slots__)
 
