@@ -20,7 +20,7 @@ import os
 import sys
 from typing import Any
 
-from .field import field_params
+from .field import field_params, prime_factors
 from .involutions import (
     atkin_lehner,
     bezout_pair,
@@ -102,6 +102,8 @@ def cmd_index(args: argparse.Namespace) -> CommandResult:
 
 def cmd_table(args: argparse.Namespace) -> CommandResult:
     params = field_params(args.m)
+    if (nu := len(prime_factors(params.d_K))) > 10:  # 4**nu entries; m < 2**64 allows nu = 16
+        raise ValueError(f"table is capped at 10 primes of d_K, but d_K = {params.d_K} has {nu}")
     labels, table = factor_group_table(params)
     return CommandResult({"m": params.m, "d_K": params.d_K, "labels": labels, "table": table})
 

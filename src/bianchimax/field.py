@@ -595,13 +595,11 @@ class IdealHNF(_Frozen):
         if not isinstance(other, IdealHNF):
             return NotImplemented
         _same_field(self.m, other.m)
-        if self.is_zero() or other.is_zero():
-            return IdealHNF._new(self.m, (0, 0, 0))
         params = field_params(self.m)
         g1, g2 = self.generators()
         if other == self:
-            # g2*g1 == g1*g2, so a square has three distinct basis products
-            return IdealHNF.from_generators(params, [g1 * g1, g1 * g2, g2 * g2])
+            # (g1, g2)**2 == (g1**2, g2**2) in a Dedekind domain (Gilmer, §24)
+            return IdealHNF.from_generators(params, [g1 * g1, g2 * g2])
         h1, h2 = other.generators()
         return IdealHNF.from_generators(params, [g1 * h1, g1 * h2, g2 * h1, g2 * h2])
 

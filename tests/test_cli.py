@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from bianchimax import atkin_lehner, field_params, matrix_from_json, matrix_to_json, spin_map
+from bianchimax import cli
 from bianchimax.cli import main
 from bianchimax.serialize import orthomap_to_json
 
@@ -212,6 +214,35 @@ class TestIndexAndTable:
         payload = json.loads(out)
         assert payload["labels"] == [1, 2, 5, 10]
         assert payload["table"][1][2] == 10
+
+    @pytest.mark.parametrize(
+        "m,nu",
+        [
+            (614889782588491410, 15),  # 2*3*5*...*47, so |d_K| = 4m has 15 primes
+            # 3*5*7*...*53 = 1 (mod 4), so |d_K| = 4m has 16, the most m < 2**64 allows
+            (16294579238595022365, 16),
+        ],
+    )
+    def test_table_past_the_cap_fails_by_name_within_a_second(self, capsys, monkeypatch, m, nu):
+        # the table would have 4**nu entries
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, monkeypatch, ["table", "--m", str(m)])
+        assert time.perf_counter() - start < 1.0
+        error = f"table is capped at 10 primes of d_K, but d_K = {-4 * m} has {nu}"
+        assert (code, json.loads(out), err) == (1, {"error": error}, error + "\n")
+
+    @pytest.mark.parametrize("m,built", [(6469693230, True), (200560490130, False)])
+    def test_table_cap_is_checked_before_the_table_is_built(self, capsys, monkeypatch, m, built):
+        # m is the product of the first 10 or 11 primes, and so is |d_K| / 4
+        calls = []
+
+        def factor_group_table(params):
+            calls.append(params)
+            return [], []
+
+        monkeypatch.setattr(cli, "factor_group_table", factor_group_table)
+        code, _, _ = run_cli(capsys, monkeypatch, ["table", "--m", str(m)])
+        assert (code, len(calls)) == ((0, 1) if built else (1, 0))
 
 
 class TestVerify:

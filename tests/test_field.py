@@ -147,6 +147,13 @@ def assert_matches_oracle(z, o):
 
 
 ORACLE_MS = [1, 2, 3, 5, 6, 7, 10, 11, 15]
+# theta-coordinates of integral elements: zero, units of some field (+-1, and
+# i or theta for m = 1 and 3), small ones and large ones
+integral_coords = st.one_of(
+    st.sampled_from([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (-1, 1), (1, -1)]),
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60)),
+    st.tuples(st.integers(-(2**64), 2**64), st.integers(-(2**64), 2**64)),
+)
 small_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 rational_pairs = st.tuples(small_rationals, small_rationals)
 
@@ -621,8 +628,8 @@ class TestIdeals:
     @pytest.mark.parametrize("case", ["square", "equal-twin", "distinct"])
     @pytest.mark.parametrize("m", ORACLE_MS)
     def test_product_is_the_module_of_all_four_basis_products(self, m, case):
-        # A square forms three basis products, as g2*g1 == g1*g2; the oracle is
-        # all four, for I * I, for I * J with J == I built from permuted and
+        # A square forms only g1*g1 and g2*g2; the oracle is all four basis
+        # products, for I * I, for I * J with J == I built from permuted and
         # unit-scaled generators, and for two different ideals.
         params = field_params(m)
         rng = Random(f"product:{m}:{case}")
@@ -646,6 +653,38 @@ class TestIdeals:
             h1, h2 = other.generators()
             four = IdealHNF.from_generators(params, [g1 * h1, g1 * h2, g2 * h1, g2 * h2])
             assert ideal * other == four
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(ORACLE_MS), st.lists(integral_coords, min_size=2, max_size=2))
+    def test_square_of_two_generators_is_generated_by_their_squares(self, m, coords):
+        # (a, b)**2 == (a**2, b**2) in a Dedekind domain, for any integral a
+        # and b: zero and units included, and generators other than the HNF's.
+        params = field_params(m)
+        a, b = (params.from_theta_coords(*c) for c in coords)
+        ideal = IdealHNF.from_generators(params, [a, b])
+        assert ideal * ideal == IdealHNF.from_generators(params, [a * a, b * b])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_square_asks_for_two_generators(self, m, monkeypatch):
+        # The square needs no g1*g2; this pins that it is not formed again.
+        params = field_params(m)
+        rng = Random(f"square-shape:{m}")
+        gens = [random_integral_element(rng, params, 4) for _ in range(2)]
+        ideal = IdealHNF.from_generators(params, gens)
+        twin = IdealHNF.from_generators(params, gens[::-1])
+        assert twin == ideal and twin is not ideal
+        sizes = []
+        from_generators = IdealHNF.from_generators.__func__
+
+        def recording(cls, params, gens):
+            gens = list(gens)
+            sizes.append(len(gens))
+            return from_generators(cls, params, gens)
+
+        monkeypatch.setattr(IdealHNF, "from_generators", classmethod(recording))
+        ideal * ideal
+        ideal * twin
+        assert sizes == [2, 2]
 
     @settings(max_examples=300)
     @given(
