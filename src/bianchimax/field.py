@@ -560,7 +560,7 @@ class IdealHNF(_Frozen):
         for z in gens:
             _same_field(params.m, z.m)
             if not z.is_integral():
-                raise ValueError(f"ideal generator {z} is not integral")
+                raise ValueError(f"ideal generator {_quote(z)} is not integral")
             for w in (z, params.theta * z):
                 a, b = w.theta_coords()
                 pairs.append((int(a), int(b)))
@@ -596,12 +596,16 @@ class IdealHNF(_Frozen):
             return NotImplemented
         _same_field(self.m, other.m)
         params = field_params(self.m)
-        g1, g2 = self.generators()
+        t, n = params.theta_trace, params.theta_norm
+        # the generators h11 + h21*theta and h22*theta, multiplied on their integers
+        a, b, c = self._h
         if other == self:
             # (g1, g2)**2 == (g1**2, g2**2) in a Dedekind domain (Gilmer, §24)
-            return IdealHNF.from_generators(params, [g1 * g1, g2 * g2])
-        h1, h2 = other.generators()
-        return IdealHNF.from_generators(params, [g1 * h1, g1 * h2, g2 * h1, g2 * h2])
+            pairs = [theta_product(t, n, a, b, a, b), theta_product(t, n, 0, c, 0, c)]
+        else:
+            p, q, r = other._h
+            pairs = [theta_product(t, n, *g, *h) for g in ((a, b), (0, c)) for h in ((p, q), (0, r))]
+        return IdealHNF.from_generators(params, [params.from_theta_coords(*w) for w in pairs])
 
     def __repr__(self) -> str:
         a, b, c = self._h

@@ -33,6 +33,7 @@ from .field import (
     basis_conjugate,
     basis_from_sqrt,
     field_params,
+    prime_factors,
     squarefree_divisors,
 )
 from .matrices import ExtendedMatrix
@@ -147,6 +148,13 @@ def coset_law(d: int, e: int) -> int:
 def extension_index(params: FieldParams) -> int:
     """Index of SL2(O_K) in its maximal discrete extension: 2**nu."""
     return len(squarefree_divisors(params.d_K))
+
+
+def _check_prime_cap(command: str, params: FieldParams) -> None:
+    """Raise ValueError when d_K has more than 10 primes: table and verify do
+    work in 4**nu for nu primes of d_K, and m < 2**64 allows nu = 16."""
+    if (nu := len(prime_factors(params.d_K))) > 10:
+        raise ValueError(f"{command} is capped at 10 primes of d_K, but d_K = {params.d_K} has {nu}")
 
 
 def factor_group_table(params: FieldParams) -> tuple[list[int], list[list[int]]]:

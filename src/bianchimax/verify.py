@@ -24,6 +24,7 @@ from typing import Callable
 from .field import (
     IdealHNF,
     _check_int_type,
+    _quote,
     field_params,
     prime_factors,
     squarefree_divisors,
@@ -31,6 +32,7 @@ from .field import (
     units_of,
 )
 from .involutions import (
+    _check_prime_cap,
     atkin_lehner,
     bezout_pair,
     classify_coset,
@@ -524,14 +526,17 @@ def run_suites(ms: list[int], height: int = 2, seed: int = 0) -> list[SuiteResul
     Height and seed are ints and not bools, or TypeError is raised.  Height 0
     or below sweeps nothing and height 4 sweeps 9**8 matrices per field, so a
     height outside 1..3 raises ValueError, and so does an m given twice, which
-    would run and print every suite twice.
+    would run and print every suite twice, or an m whose d_K has more than 10
+    primes, as the coset suites check all 4**nu pairs of its nu-prime cosets.
     """
     _check_int_type("height", height)
     _check_int_type("seed", seed)
     if not 1 <= height <= 3:
-        raise ValueError(f"height {height} is outside 1..3")
+        raise ValueError(f"height {_quote(height)} is outside 1..3")
     if len(set(ms)) < len(ms):
-        raise ValueError(f"m = {max(ms, key=ms.count)} is given more than once")
+        raise ValueError(f"m = {_quote(max(ms, key=ms.count))} is given more than once")
+    for m in ms:
+        _check_prime_cap("verify", field_params(m))
     results: list[SuiteResult] = []
     for m in ms:
         ctx = _Context(m, height, seed)

@@ -500,6 +500,49 @@ def test_verify_repeated_m_fails_before_any_suite(capsys, monkeypatch):
     assert err == "m = 1 is given more than once\n"
 
 
+@pytest.mark.parametrize("m,nu", [(614889782588491410, 15), (16294579238595022365, 16)])
+def test_verify_past_the_cap_fails_by_name_within_a_second(capsys, monkeypatch, m, nu):
+    # the same m as TestIndexAndTable's: the coset suites check 4**nu pairs
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, monkeypatch, ["verify", "--m", str(m), "--height", "1"])
+    assert time.perf_counter() - start < 1.0
+    error = f"verify is capped at 10 primes of d_K, but d_K = {-4 * m} has {nu}"
+    assert (code, json.loads(out), err) == (1, {"error": error}, error + "\n")
+
+
+@pytest.mark.parametrize("m,reached", [(6469693230, True), (200560490130, False)])
+def test_verify_cap_is_checked_before_any_suite(capsys, monkeypatch, m, reached):
+    # m is the product of the first 10 or 11 primes, and so is |d_K| / 4
+    from bianchimax import verify
+
+    calls = []
+
+    def recording_suite(ctx):
+        calls.append(ctx.m)
+        return verify.SuiteResult("recording", ctx.m)
+
+    monkeypatch.setattr(verify, "ALL_SUITES", (recording_suite,))
+    code, _, _ = run_cli(capsys, monkeypatch, ["verify", "--m", "1", "--m", str(m), "--height", "1"])
+    assert (code, calls) == ((0, [1, m]) if reached else (1, []))
+
+
+@pytest.mark.parametrize(
+    "ms,height,error",
+    [
+        ([1], 10**5000, "height 1000"),
+        ([10**5000] * 2, 1, "m = 1000"),
+    ],
+    ids=["height", "repeated-m"],
+)
+def test_run_suites_quotes_a_huge_value_briefly(ms, height, error):
+    from bianchimax.verify import run_suites
+
+    with pytest.raises(ValueError) as info:
+        run_suites(ms, height=height)
+    message = str(info.value)
+    assert message.startswith(error) and "... (length 5001) is" in message and len(message) < 200
+
+
 @pytest.mark.parametrize("height", [-1, 0])
 def test_run_suites_rejects_height_outside_1_to_3(height):
     from bianchimax.verify import run_suites

@@ -664,27 +664,66 @@ class TestIdeals:
         ideal = IdealHNF.from_generators(params, [a, b])
         assert ideal * ideal == IdealHNF.from_generators(params, [a * a, b * b])
 
+    @staticmethod
+    def record_products(monkeypatch):
+        """Record the length of each from_generators argument, and every
+        KElement product made outside from_generators' own theta-closure."""
+        sizes, outside, inside = [], [], []
+        mul = KElement.__mul__
+        from_generators = IdealHNF.from_generators.__func__
+
+        def counting(z, w):
+            if not inside:
+                outside.append((z, w))
+            return mul(z, w)
+
+        def recording(cls, params, gens):
+            gens = list(gens)
+            sizes.append(len(gens))
+            inside.append(True)
+            try:
+                return from_generators(cls, params, gens)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(KElement, "__mul__", counting)
+        monkeypatch.setattr(KElement, "__rmul__", counting)
+        monkeypatch.setattr(IdealHNF, "from_generators", classmethod(recording))
+        return sizes, outside
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_square_asks_for_two_generators(self, m, monkeypatch):
-        # The square needs no g1*g2; this pins that it is not formed again.
+        # The square needs no g1*g2; this pins that it is not formed again,
+        # and that g1*g1 and g2*g2 are formed on the HNF's integers.
         params = field_params(m)
         rng = Random(f"square-shape:{m}")
         gens = [random_integral_element(rng, params, 4) for _ in range(2)]
         ideal = IdealHNF.from_generators(params, gens)
         twin = IdealHNF.from_generators(params, gens[::-1])
         assert twin == ideal and twin is not ideal
-        sizes = []
-        from_generators = IdealHNF.from_generators.__func__
-
-        def recording(cls, params, gens):
-            gens = list(gens)
-            sizes.append(len(gens))
-            return from_generators(cls, params, gens)
-
-        monkeypatch.setattr(IdealHNF, "from_generators", classmethod(recording))
+        sizes, outside = self.record_products(monkeypatch)
         ideal * ideal
         ideal * twin
-        assert sizes == [2, 2]
+        assert (sizes, outside) == ([2, 2], [])
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_product_asks_for_four_generators_formed_on_integers(self, m, monkeypatch):
+        params = field_params(m)
+        rng = Random(f"product-shape:{m}")
+        ideal, other = (IdealHNF.principal(params, random_integral_element(rng, params, 4)) for _ in range(2))
+        assert ideal != other
+        sizes, outside = self.record_products(monkeypatch)
+        ideal * other
+        assert (sizes, outside) == ([4], [])
+
+    def test_huge_non_integral_generator_is_quoted_briefly(self):
+        params = field_params(1)
+        z = params.from_theta_coords(Fraction(10**5000 + 1, 3), 0)
+        with pytest.raises(ValueError) as info:
+            IdealHNF.from_generators(params, [z])
+        message = str(info.value)
+        assert message.startswith("ideal generator KElement(m=1, 1000") and len(message) < 200
+        assert message.endswith("... (length 5021) is not integral")
 
     @settings(max_examples=300)
     @given(
