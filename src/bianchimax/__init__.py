@@ -13,7 +13,6 @@ from .field import (
     units_of,
 )
 from .involutions import (
-    BezoutPair,
     atkin_lehner,
     bezout_pair,
     classify_coset,
@@ -47,7 +46,6 @@ from .serialize import (
 )
 
 __all__ = [
-    "BezoutPair",
     "ExtendedMatrix",
     "FieldParams",
     "IdealHNF",

@@ -62,11 +62,10 @@ def _read_json(args: argparse.Namespace) -> Any:
 
 def cmd_vd(args: argparse.Namespace) -> CommandResult:
     params = field_params(args.m)
-    pair = bezout_pair(params, args.d)
-    mat = atkin_lehner(params, args.d, pair)
-    payload = matrix_to_json(mat)
-    payload["u"] = pair.u
-    payload["v"] = pair.v
+    u, v = bezout_pair(params, args.d)
+    payload = matrix_to_json(atkin_lehner(params, args.d))
+    payload["u"] = u
+    payload["v"] = v
     return CommandResult(payload)
 
 
@@ -112,8 +111,6 @@ def cmd_verify(args: argparse.Namespace) -> CommandResult:
     # Imported here: the suites and their samplers are not needed by any other command.
     from .verify import run_suites
 
-    for m in args.m:
-        field_params(m)  # validate before running anything
     results = run_suites(args.m, height=args.height, seed=args.seed)
     suites = []
     ok = True

@@ -27,7 +27,6 @@ from .field import (
     IdealHNF,
     _check_int,
     _check_int_type,
-    _Frozen,
     _quote,
     _require_squarefree,
     basis_conjugate,
@@ -36,33 +35,19 @@ from .field import (
     prime_factors,
     squarefree_divisors,
 )
-from .matrices import ExtendedMatrix
-
-
-class BezoutPair(_Frozen):
-    """Integers (u, v) with u*d - v*(N(omega)/d) = 1 for a fixed divisor d."""
-
-    __slots__ = ("u", "v")
-
-    def __new__(cls, u: int, v: int) -> BezoutPair:
-        _check_int_type("u", u)
-        _check_int_type("v", v)
-        return cls._new(u, v)
-
-    def __repr__(self) -> str:
-        return f"BezoutPair(u={self.u}, v={self.v})"
+from .matrices import _F_BITS, ExtendedMatrix
 
 
 def _check_divisor(params: FieldParams, d: int) -> None:
     """The cap-then-squarefree rule of m and f, with d | |d_K| tested between:
     |d_K| <= 4m < 2**66."""
-    _check_int("d", d, 66)
+    _check_int("d", d, _F_BITS)
     if abs(params.d_K) % d != 0:
         raise ValueError(f"d = {d} does not divide |d_K| = {abs(params.d_K)}")
     _require_squarefree("d", d)
 
 
-def bezout_pair(params: FieldParams, d: int, shift: int = 0) -> BezoutPair:
+def bezout_pair(params: FieldParams, d: int, shift: int = 0) -> tuple[int, int]:
     """Solve u*d - v*(N(omega)/d) = 1, normalized to 0 < u <= N(omega)/d.
 
     All solutions are (u + t*n, v + t*d) with n = N(omega)/d; shift selects the
@@ -81,22 +66,16 @@ def bezout_pair(params: FieldParams, d: int, shift: int = 0) -> BezoutPair:
     if u == 0:
         u = n
     v = (u * d - 1) // n
-    return BezoutPair(u=u + shift * n, v=v + shift * d)
+    return u + shift * n, v + shift * d
 
 
-def atkin_lehner(params: FieldParams, d: int, pair: BezoutPair | None = None) -> ExtendedMatrix:
-    """The involution V_d in canonical form, built from the given Bezout pair."""
-    if pair is None:
-        pair = bezout_pair(params, d)
-    else:
-        _check_divisor(params, d)
-        if not isinstance(pair, BezoutPair):
-            shown = f"{_quote(pair)} ({type(pair).__name__})"
-            raise TypeError(f"pair must be a BezoutPair, got {shown}")
+def atkin_lehner(params: FieldParams, d: int, shift: int = 0) -> ExtendedMatrix:
+    """The involution V_d in canonical form, built from bezout_pair(params, d, shift)."""
+    u, v = bezout_pair(params, d, shift)
     t = params.theta_trace
     w0, w1 = basis_from_sqrt(t, params.m, 1)  # omega = m + sqrt(-m)
     c0, c1 = basis_conjugate(t, w0, w1)
-    coords = (pair.u * d, 0, pair.v * w0, pair.v * w1, c0, c1, d, 0)
+    coords = (u * d, 0, v * w0, v * w1, c0, c1, d, 0)
     mat = ExtendedMatrix._from_coords(params.m, d, coords)
     if mat.f != d:
         raise AssertionError(f"V_{d} canonicalized to denominator {mat.f}")

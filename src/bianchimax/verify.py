@@ -34,7 +34,6 @@ from .field import (
 from .involutions import (
     _check_prime_cap,
     atkin_lehner,
-    bezout_pair,
     classify_coset,
     coset_law,
     extension_index,
@@ -263,7 +262,7 @@ def suite_involutions_cosets(ctx: _Context) -> SuiteResult:
     rng = ctx.rng("involutions.cosets")
     divisors = squarefree_divisors(params.d_K)
     for d in divisors:
-        variants = [atkin_lehner(params, d, bezout_pair(params, d, shift)) for shift in range(3)]
+        variants = [atkin_lehner(params, d, shift) for shift in range(3)]
         for v in variants:
             for w in variants:
                 res.check(

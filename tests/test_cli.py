@@ -500,6 +500,17 @@ def test_verify_repeated_m_fails_before_any_suite(capsys, monkeypatch):
     assert err == "m = 1 is given more than once\n"
 
 
+@pytest.mark.parametrize("args,error", [
+    (["--m", "0", "--m", "0"], "m = 0 is given more than once"),
+    (["--m", "12", "--height", "9"], "height 9 is outside 1..3"),
+], ids=["repeated-bad-m", "bad-m-and-height"])
+def test_verify_checks_its_flags_in_one_place(capsys, monkeypatch, args, error):
+    # run_suites is the one validator of verify's flags: it checks height and
+    # repeats before it builds the field of each m
+    code, out, err = run_cli(capsys, monkeypatch, ["verify", *args])
+    assert (code, json.loads(out), err) == (1, {"error": error}, error + "\n")
+
+
 @pytest.mark.parametrize("m,nu", [(614889782588491410, 15), (16294579238595022365, 16)])
 def test_verify_past_the_cap_fails_by_name_within_a_second(capsys, monkeypatch, m, nu):
     # the same m as TestIndexAndTable's: the coset suites check 4**nu pairs

@@ -120,8 +120,8 @@ class TestLargeParameters:
     def test_bezout_at_scale(self):
         params = field_params(165)
         for d in squarefree_divisors(params.d_K):
-            pair = bezout_pair(params, d)
-            assert pair.u * d - pair.v * (params.norm_omega // d) == 1
+            u, v = bezout_pair(params, d)
+            assert u * d - v * (params.norm_omega // d) == 1
 
     def test_spin_round_trip_m165(self):
         params = field_params(165)

@@ -1147,8 +1147,8 @@ class TestSpinLift:
             a = params.integer(p * q)
             mat = ExtendedMatrix.from_integral(1, ((a, params.integer(1)), (a * z - 1, z)))
         else:
-            u, n = bezout_pair(params, d).u, params.norm_omega // d
-            mat = atkin_lehner(params, d, bezout_pair(params, d, -u * pow(n, -1, p) % p))
+            u, n = bezout_pair(params, d)[0], params.norm_omega // d
+            mat = atkin_lehner(params, d, -u * pow(n, -1, p) % p)
             assert mat.coords[0] % p == 0
         assert spin_lift(spin_map(mat)) == sign_normalize(mat)
 

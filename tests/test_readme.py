@@ -16,7 +16,6 @@ from bianchimax import (
     IdealHNF,
     KElement,
     atkin_lehner,
-    bezout_pair,
     field_params,
     spin_map,
 )
@@ -89,7 +88,6 @@ def library_values():
         "IdealHNF": IdealHNF.principal(params, params.element(5, 1)),
         "ExtendedMatrix": v10,
         "OrthoMap": spin_map(v10),
-        "BezoutPair": bezout_pair(params, 10),
     }
 
 
@@ -122,7 +120,7 @@ def test_values_are_built_only_through_new(monkeypatch):
         monkeypatch.setattr(kind, "_new", staticmethod(recording_new))
     values = {**library_values(), "FieldParams": FieldParams(5)}
     monkeypatch.undo()
-    assert len(values) == 6
+    assert len(values) == 5
     for value in values.values():
         assert type(value).__init__ is object.__init__
         assert type(value) in built

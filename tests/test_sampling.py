@@ -63,10 +63,10 @@ def random_unimodular_oracle(rng, params, length=4, height=2):
     return result
 
 
-def atkin_lehner_oracle(params, d, pair):
+def atkin_lehner_oracle(params, d, u, v):
     omega = params.element(params.m, 1)
     rows = (
-        (params.integer(pair.u * d), omega * pair.v),
+        (params.integer(u * d), omega * v),
         (omega.conjugate(), params.integer(d)),
     )
     return ExtendedMatrix.from_integral(d, rows)
@@ -75,7 +75,7 @@ def atkin_lehner_oracle(params, d, pair):
 def random_coset_oracle(rng, params, d, length=3, height=2):
     left = random_unimodular_oracle(rng, params, length, height)
     right = random_unimodular_oracle(rng, params, length, height)
-    return left * atkin_lehner_oracle(params, d, bezout_pair(params, d)) * right
+    return left * atkin_lehner_oracle(params, d, *bezout_pair(params, d)) * right
 
 
 def random_ambient_oracle(rng, params, max_d=8, length=2, height=2):
@@ -119,8 +119,8 @@ def test_atkin_lehner_matches_the_oracle(m):
     params = field_params(m)
     for d in squarefree_divisors(params.d_K):
         for shift in range(3):
-            pair = bezout_pair(params, d, shift)
-            assert atkin_lehner(params, d, pair) == atkin_lehner_oracle(params, d, pair)
+            u, v = bezout_pair(params, d, shift)
+            assert atkin_lehner(params, d, shift) == atkin_lehner_oracle(params, d, u, v)
 
 
 @settings(max_examples=200)
