@@ -53,6 +53,18 @@ class TestBezout:
             u, _ = bezout_pair(params, d)
             assert 0 < u <= params.norm_omega // d
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7, 10, 11, 15, 21, 30])
+    def test_shift_is_a_plain_tuple_past_the_canonical_pair(self, m):
+        # the README's convention: shift t gives (u + t*N(omega)/d, v + t*d)
+        params = field_params(m)
+        for d in squarefree_divisors(params.d_K):
+            u, v = bezout_pair(params, d)
+            n = params.norm_omega // d
+            for shift in range(4):
+                pair = bezout_pair(params, d, shift)
+                assert type(pair) is tuple and [type(x) for x in pair] == [int, int]
+                assert pair == (u + shift * n, v + shift * d)
+
 
 class TestAtkinLehner:
     def test_m1_d1_frozen(self):
@@ -106,6 +118,28 @@ class TestAtkinLehner:
         for build in (bezout_pair, atkin_lehner):
             with pytest.raises(error, match=f"^{re.escape(message)}$"):
                 build(field_params(5), 2, shift)
+
+    @pytest.mark.parametrize("d,shift,error,message", [
+        (3, -1, ValueError, "d = 3 does not divide |d_K| = 20"),
+        (2.0, 0.5, TypeError, "d must be an int, got 2.0 (float)"),
+        (4, True, ValueError, "d must be squarefree, but 2**2 divides 4"),
+    ], ids=["not-dividing", "float", "square"])
+    def test_divisor_is_checked_before_shift(self, d, shift, error, message):
+        for build in (bezout_pair, atkin_lehner):
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                build(field_params(5), d, shift)
+
+    @pytest.mark.parametrize("shift", [2**64, 2**70, 10**30], ids=["2**64", "2**70", "10**30"])
+    def test_shift_has_no_cap(self, shift):
+        # shift only moves along the Bezout solutions, so any int >= 0 gives
+        # a valid V_d in the same coset as the canonical one
+        params = field_params(5)
+        for d in squarefree_divisors(params.d_K):
+            u, v = bezout_pair(params, d, shift)
+            assert u * d - v * (params.norm_omega // d) == 1
+            mat = atkin_lehner(params, d, shift)
+            assert mat.f == d and classify_coset(mat) == d
+            assert (mat * atkin_lehner(params, d).inverse()).is_integral()
 
     @pytest.mark.parametrize("m", [m for m in range(1, 51) if squarefree_part(m) == m])
     def test_bezout_choice_does_not_change_coset(self, m):
